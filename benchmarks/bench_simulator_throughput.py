@@ -7,9 +7,21 @@ comparisons of the pytest-benchmark tables.  Every workload runs under both
 execution engines, so one table shows the reference/fast speedup directly;
 ``BENCH_fastpath.json`` at the repo root records a committed snapshot of
 those ratios, and ``BENCH_multicore.json`` records the 8-core event-heap
-scheduler speedups (regenerate either with
+speedups (regenerate either with
 ``python benchmarks/bench_simulator_throughput.py [fastpath|multicore]``).
+
+Each ``BENCH_fastpath.json`` cell also records
+:func:`uops_per_calibration_run`: reference-engine throughput measured
+against :func:`calibration_kernel`, a fixed pure-Python workload, so
+``tests/test_perf_guard.py`` can compare the reference engine's speed
+*relative to the host* rather than in absolute µops/s.
 """
+
+import gc
+import heapq
+import statistics
+import time
+from collections import deque
 
 import pytest
 
@@ -53,6 +65,56 @@ def test_throughput_spb(benchmark, traces, kind, engine):
     assert result.pipeline.committed_uops == LENGTH
 
 
+def calibration_kernel(n: int = 100_000) -> int:
+    """Fixed pure-Python work mixing the simulator loop's primitives.
+
+    Integer arithmetic, dict get/set, deque append and indexing, and heap
+    push/pop — the operations the cycle loop spends its time on — with no
+    dependence on the simulator's code, so its rate measures the host
+    (interpreter and machine), not the model.
+    """
+    heap: list[int] = []
+    counts: dict[int, int] = {}
+    ring: deque[int] = deque(maxlen=64)
+    acc = 0
+    for i in range(n):
+        key = (i * 2_654_435_761) & 1023
+        counts[key] = counts.get(key, 0) + 1
+        ring.append(key)
+        if i & 7 == 0:
+            heapq.heappush(heap, key)
+        elif heap and heap[0] <= key:
+            acc += heapq.heappop(heap)
+        acc += ring[0] if key & 1 else -ring[-1]
+    return acc + len(counts)
+
+
+def uops_per_calibration_run(trace, policy: str, rounds: int = 15) -> float:
+    """Reference-engine µops simulated per :func:`calibration_kernel` run.
+
+    Each round times one reference run and one kernel run back to back in
+    process CPU time; the median of the per-round ratios is returned.  CPU
+    time and a per-round ratio keep the number steady on a shared host,
+    where best-of-N wall-clock times drift by 30% or more.
+    """
+    ratios = []
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            gc.collect()
+            start = time.process_time()
+            _simulate(trace, policy)
+            simulate_s = time.process_time() - start
+            start = time.process_time()
+            calibration_kernel()
+            ratios.append(len(trace) * (time.process_time() - start) / simulate_s)
+    finally:
+        if enabled:
+            gc.enable()
+    return statistics.median(ratios)
+
+
 def _measure_speedups(rounds: int = 10) -> dict:
     """Interleaved min-of-N timing of both engines on every cell.
 
@@ -61,9 +123,6 @@ def _measure_speedups(rounds: int = 10) -> dict:
     disabled during timed regions so collection pauses don't land on one
     engine's ledger.
     """
-    import gc
-    import time
-
     cells = [
         ("compute/at-commit", "exchange2", "at-commit"),
         ("memory/at-commit", "mcf", "at-commit"),
@@ -89,6 +148,9 @@ def _measure_speedups(rounds: int = 10) -> dict:
                 "speedup": round(best["reference"] / best["fast"], 3),
                 "fast_uops_per_s": round(LENGTH / best["fast"]),
                 "reference_uops_per_s": round(LENGTH / best["reference"]),
+                "reference_uops_per_calibration_run": round(
+                    uops_per_calibration_run(trace, policy)
+                ),
             }
     finally:
         gc.enable()
@@ -110,13 +172,10 @@ def _measure_multicore_speedups(rounds: int = 5) -> dict:
 
     Same discipline as :func:`_measure_speedups` (alternating engines per
     round, min over rounds, GC disabled in timed regions) with one twist:
-    only ``MulticoreSystem.run()`` is timed.  Construction — trace
-    annotation and per-µop array precompute — is engine-independent shared
-    work, so a fresh system is built *untimed* before every timed run.
+    only ``MulticoreSystem.run()`` is timed, on a fresh system built
+    *untimed* before every run.  Construction is engine-specific (the fast
+    engine precomputes per-µop arrays), so these ratios are ``run()``-only.
     """
-    import gc
-    import time
-
     from repro import parsec
     from repro.multicore.system import MulticoreSystem
 

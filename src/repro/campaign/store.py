@@ -30,6 +30,7 @@ from repro.memory.hierarchy import TrafficStats
 from repro.memory.mshr import MSHRStats
 from repro.multicore.system import MulticoreResult
 from repro.prefetch.stats import PrefetchOutcomes
+from repro.sim.runner import MODEL_VERSION
 from repro.stats.counters import PipelineStats, StallBreakdown
 from repro.stats.result import SimResult
 from repro.stats.topdown import TopDownMetrics
@@ -67,12 +68,14 @@ def multicore_result_key(
 
     The multicore analogue of :func:`repro.sim.runner.result_key`: PARSEC
     traces are deterministic functions of (name, threads, per-thread length,
-    seed), so together with ``config.cache_key()`` the string identifies the
-    run completely.  Multicore runs have no warm-up phase, hence no ``w``
+    seed), so together with ``config.cache_key()`` and the model version the
+    string identifies the run completely.  Multicore runs have no warm-up phase, hence no ``w``
     component; the ``T`` component keeps multicore keys disjoint from
     single-core ones.
     """
-    return f"{name}-T{threads}-L{length}-s{seed}-{config.cache_key()}"
+    return (
+        f"{name}-T{threads}-L{length}-s{seed}-m{MODEL_VERSION}-{config.cache_key()}"
+    )
 
 
 class ResultCodecError(ValueError):

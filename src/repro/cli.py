@@ -389,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     multicore.add_argument("--prefetcher", default="stream",
                            choices=("none", "stream", "aggressive", "adaptive"))
     multicore.add_argument("--engine", default="reference", choices=SIM_ENGINES,
-                           help="execution engine; 'fast' is the event-heap "
-                                "scheduler with cross-core cycle skipping, "
-                                "proven bit-identical by the multicore "
-                                "differential matrix (docs/FASTPATH.md)")
+                           help="execution engine; 'fast' is the event heap "
+                                "with per-core cycle skipping, proven equal "
+                                "by the multicore differential matrix "
+                                "(docs/FASTPATH.md)")
     multicore.set_defaults(func=_cmd_multicore)
 
     campaign = sub.add_parser(

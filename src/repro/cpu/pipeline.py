@@ -25,9 +25,13 @@ latency — the mechanism behind the paper's observation that SPB's faster
 load resolution cuts misspeculated instructions.
 
 When a cycle makes no progress the loop jumps to the next event (fill
-arrival, ROB-head completion, redirect resolution) and scales that cycle's
-stall attribution by the distance jumped, which keeps long misses cheap to
-simulate without changing any counted quantity.
+arrival, ROB-head completion, redirect resolution, issue-queue release).
+Every cycle it passes over is quiescent — the core's state is frozen and it
+touches no shared structure — so :meth:`Pipeline._skip_to` charges the span
+exactly as stepping each cycle would: the stall bucket, the SB occupancy
+sample and the L1D-pending cycles (the latter only until the last in-flight
+L1 miss completes).  ``run()`` therefore equals calling :meth:`step` until
+:meth:`done`, counter for counter, while keeping long misses cheap.
 """
 
 from __future__ import annotations
@@ -115,6 +119,8 @@ class Pipeline:
         self._sb_head_accounted = False
         self._last_load_block = 0
         self._last_store_block = 0
+        self._block_reason: str | None = None  # of the last stepped cycle
+        self._blocked_pc = 0
         # A warmed-up run continues the hierarchy's clock: MSHR and DRAM
         # state are stamped in absolute cycles.
         self.cycle = start_cycle
@@ -351,62 +357,78 @@ class Pipeline:
     # Main loop
     # ------------------------------------------------------------------
     def _next_event(self) -> int:
-        """Earliest future cycle at which anything can change."""
+        """Earliest cycle, at or after the current one, at which anything
+        can change.  Called after a quiescent :meth:`step`, once the counter
+        has advanced past it."""
+        cycle = self.cycle
         candidates = []
-        if self._sb_head_ready is not None and self._sb_head_ready > self.cycle:
+        if self._sb_head_ready is not None and self._sb_head_ready >= cycle:
             candidates.append(self._sb_head_ready)
         if self._rob:
             index, _ = self._rob[0]
-            if self._ready[index] > self.cycle:
+            if self._ready[index] >= cycle:
                 candidates.append(self._ready[index])
-        if self._ip < self._n and self._fetch_resume > self.cycle:
+        if self._ip < self._n and self._fetch_resume >= cycle:
             candidates.append(self._fetch_resume)
-        if self._iq_release and self._iq_release[0] > self.cycle:
+        # An issue-queue release matters only to a dispatch the issue
+        # queue blocks: it cannot change any other block reason.
+        if (
+            self._block_reason == "issue_queue"
+            and self._iq_release
+            and self._iq_release[0] >= cycle
+        ):
             candidates.append(self._iq_release[0])
-        if not candidates:
-            return self.cycle + 1
-        return max(self.cycle + 1, min(candidates))
+        return min(candidates) if candidates else cycle
 
     def done(self) -> bool:
         return self._ip >= self._n and not self._rob and self.sb.is_empty
 
-    def _cycle_body(self) -> tuple[bool, str | None, int, bool]:
-        """One cycle of work; returns (progress, reason, blocked_pc, pending)."""
+    def step(self) -> bool:
+        """Advance one cycle; returns whether anything progressed.
+
+        The dispatch block reason is kept so :meth:`_skip_to` can charge a
+        following quiescent span to the same stall bucket.
+        """
         drained = self._drain_sb()
         committed = self._commit()
         dispatched, block_reason, blocked_pc = self._dispatch()
         if dispatched == 0 and self._ip < self._n:
             self._attribute_stall(block_reason, blocked_pc)
-        l1d_pending = False
+        self._block_reason = block_reason
+        self._blocked_pc = blocked_pc
         if committed == 0 and self.hierarchy.l1_mshr.outstanding(self.cycle):
             self.stats.exec_stall_l1d_pending += 1
-            l1d_pending = True
         self.sb.sample_occupancy()
         self.stats.cycles += 1
         self.cycle += 1
-        progress = bool(drained or committed or dispatched)
-        return progress, block_reason, blocked_pc, l1d_pending
+        return bool(drained or committed or dispatched)
 
-    def step(self) -> bool:
-        """Advance one cycle (multicore lockstep entry point)."""
-        progress, _, _, _ = self._cycle_body()
-        return progress
+    def _skip_to(self, target: int) -> None:
+        """Charge the quiescent cycles ``[cycle, target)`` and jump to ``target``.
+
+        Only valid right after a :meth:`step` without progress and up to the
+        next event: every skipped cycle would stall on the same resource,
+        sample the same SB occupancy and see the same in-flight L1 misses,
+        which retire (and stop counting as L1D-pending) at their completion.
+        """
+        cycle = self.cycle
+        extra = target - cycle
+        if extra <= 0:
+            return
+        if self._ip < self._n:
+            self._attribute_stall(self._block_reason, self._blocked_pc, extra)
+        busy_until = self.hierarchy.l1_mshr.busy_until()
+        if busy_until > cycle:
+            self.stats.exec_stall_l1d_pending += min(busy_until, target) - cycle
+        self.sb.sample_occupancy(weight=extra)
+        self.stats.cycles += extra
+        self.cycle = target
 
     def run(self, max_cycles: int = 500_000_000) -> PipelineStats:
-        """Run to completion (with event-jump acceleration)."""
+        """Run to completion, jumping over quiescent spans."""
         while not self.done():
-            progress, block_reason, blocked_pc, l1d_pending = self._cycle_body()
-            if not progress:
-                target = self._next_event()
-                extra = target - self.cycle
-                if extra > 0:
-                    if self._ip < self._n:
-                        self._attribute_stall(block_reason, blocked_pc, extra)
-                    if l1d_pending:
-                        self.stats.exec_stall_l1d_pending += extra
-                    self.sb.sample_occupancy(weight=extra)
-                    self.stats.cycles += extra
-                    self.cycle = target
+            if not self.step():
+                self._skip_to(self._next_event())
             if self.cycle > max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded {max_cycles} cycles "

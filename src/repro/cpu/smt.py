@@ -124,6 +124,7 @@ class SmtCore:
         for offset in range(self.threads):
             pipeline = self.pipelines[(self.cycle + offset) % self.threads]
             dispatched, reason, blocked_pc = pipeline._dispatch(budget)
+            pipeline._block_reason = reason
             if dispatched:
                 progress = True
                 budget -= dispatched

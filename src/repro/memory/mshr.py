@@ -81,6 +81,14 @@ class MSHRFile:
         self._expire(cycle)
         return len(self._demand) + len(self._prefetch)
 
+    def busy_until(self) -> int:
+        """Latest completion among the misses not yet retired (0 if none).
+
+        With no new allocation, ``outstanding(c)`` is non-zero exactly for
+        ``c`` below this cycle.
+        """
+        return max(max(self._demand, default=0), max(self._prefetch, default=0))
+
     def in_flight(self, block: int, cycle: int) -> int | None:
         """Completion cycle of an outstanding miss on ``block``, if any."""
         entry = self._by_block.get(block)

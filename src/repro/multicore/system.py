@@ -3,15 +3,24 @@
 Each core has its own pipeline, private L1D/L2 and store-prefetch engine;
 the cores share one :class:`SharedUncore`, so SPB bursts on one core can
 invalidate lines another core holds — the coherence interaction §VI-F checks
-for.  Under the reference engine cores advance in lockstep, one cycle at a
-time, jumping only when every core is blocked at once; under
-``engine="fast"`` the event-heap scheduler in
-:mod:`repro.multicore.scheduler` skips each core's quiescent spans
-individually while reproducing the lockstep bit for bit.
+for.
+
+Cores interact only through the shared uncore, and only inside a cycle body:
+a blocked core's state is frozen and it makes no hierarchy call.  Two loops
+use that, and both equal stepping every core every cycle:
+
+* under the reference engine cores advance in lockstep, one cycle at a time
+  in core order, and jump only when every core is blocked at once, each
+  core charging the jumped span as single-core ``run()`` would;
+* under ``engine="fast"`` a heap of ``(cycle, core)`` keys resumes one core
+  at a time with the next key as its horizon
+  (:meth:`repro.sim.fastpath.FastPipeline.core_loop`), so bodies still run
+  in lockstep order while each core settles its own quiescent spans.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from repro.config.system import SystemConfig
@@ -19,7 +28,6 @@ from repro.core.policies import build_store_prefetch_engine
 from repro.cpu.pipeline import Pipeline
 from repro.isa.trace import Trace
 from repro.memory.hierarchy import MemoryHierarchy, SharedUncore
-from repro.multicore.scheduler import run_fast
 from repro.sim.fastpath import pipeline_class
 from repro.prefetch import build_prefetcher
 from repro.stats.counters import PipelineStats
@@ -76,8 +84,6 @@ class MulticoreSystem:
             engine = build_store_prefetch_engine(
                 config.store_prefetch, hierarchy, config.spb, tracer=tracer
             )
-            # pipeline_class honours config.engine; FastPipeline only
-            # overrides run(), so the lockstep step() path is shared either way.
             self.pipelines.append(
                 pipeline_class(config.engine)(
                     config, trace, hierarchy, engine,
@@ -88,49 +94,66 @@ class MulticoreSystem:
     def run(self, max_cycles: int = 500_000_000) -> MulticoreResult:
         """Run all cores to completion.
 
-        Under ``engine="fast"`` the event-heap scheduler
-        (:mod:`repro.multicore.scheduler`) advances each core independently
-        with per-core cycle skipping; otherwise the reference lockstep loop
-        runs.  Both produce bit-identical per-core statistics and event
-        streams (enforced by the multicore differential matrix).
+        Under ``engine="fast"`` the event heap advances each core
+        independently with per-core cycle skipping; otherwise the reference
+        lockstep loop runs.  Both produce the per-core statistics of
+        stepping every core every cycle (enforced by the multicore
+        differential matrix).
         """
         if self.config.engine == "fast":
-            run_fast(self, max_cycles)
+            self._run_heap(max_cycles)
         else:
             self._run_lockstep(max_cycles)
-        total_cycles = max(p.stats.cycles for p in self.pipelines)
+        return self._result()
+
+    def _result(self) -> MulticoreResult:
         return MulticoreResult(
-            cycles=total_cycles,
+            cycles=max(p.stats.cycles for p in self.pipelines),
             per_core=[p.stats for p in self.pipelines],
             pipelines=self.pipelines,
         )
 
     def _run_lockstep(self, max_cycles: int) -> None:
-        """Advance all cores one cycle at a time (the oracle loop)."""
-        pending = [(p, p.step, p.done) for p in self.pipelines]
-        cycle = 0
+        """Advance all cores one cycle at a time (the reference loop)."""
+        pending = [p for p in self.pipelines if not p.done()]
         while pending:
             progress = False
-            finished = False
-            for entry in pending:
-                if entry[1]():
+            for pipeline in pending:
+                if pipeline.step():
                     progress = True
-                    if entry[2]():
-                        finished = True
-            # A core can only reach done() on a cycle it progressed —
-            # except an initially-done (empty-trace) core, which steps
-            # exactly once; the first-cycle sweep covers it.
-            if finished or cycle == 0:
-                pending = [e for e in pending if not e[2]()]
-            cycle += 1
-            if not progress and pending:
-                # Jump every blocked core forward to the earliest event.
-                target = min(e[0]._next_event() for e in pending)
-                extra = target - pending[0][0].cycle
-                if extra > 0:
-                    for entry in pending:
-                        entry[0].stats.cycles += extra
-                        entry[0].cycle = target
-                    cycle += extra
-            if cycle > max_cycles:
+            # A core can only reach done() on a cycle it progressed.
+            if progress:
+                pending = [p for p in pending if not p.done()]
+            else:
+                # Every core is blocked: jump all of them to the earliest
+                # event, each charging the span to its own stall bucket.
+                target = min(p._next_event() for p in pending)
+                for pipeline in pending:
+                    pipeline._skip_to(target)
+            if pending and pending[0].cycle > max_cycles:
                 raise RuntimeError(f"multicore run exceeded {max_cycles} cycles")
+
+    def _run_heap(self, max_cycles: int) -> None:
+        """Run each core's loop in turn from a heap of ``(cycle, core)``."""
+        loops = [p.core_loop(max_cycles) for p in self.pipelines]
+        heap = []
+        try:
+            for core, loop in enumerate(loops):
+                cycle = next(loop, None)
+                if cycle is not None:
+                    heap.append((cycle, core))
+            heapq.heapify(heap)
+            while heap:
+                core = heap[0][1]
+                # The horizon is the smallest key but the root's, which
+                # sits in one of the root's children.
+                horizon = min(heap[1:3], default=None)
+                try:
+                    cycle = loops[core].send(horizon)
+                except StopIteration:
+                    heapq.heappop(heap)
+                else:
+                    heapq.heapreplace(heap, (cycle, core))
+        finally:
+            for loop in loops:
+                loop.close()

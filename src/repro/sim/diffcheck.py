@@ -1,15 +1,20 @@
-"""Differential harness proving the fast engine bit-identical to the reference.
+"""Differential harness proving the skipping engines exact.
 
-The fast engine (:mod:`repro.sim.fastpath`) is only admissible because it
-computes *exactly* what the reference pipeline computes.  This module is the
-proof machinery: it runs one (workload, configuration) case through both
-engines and compares
+The simplest loop defines what the model means: step every core every
+cycle.  The reference engine jumps over quiescent spans and the fast engine
+(:mod:`repro.sim.fastpath`) additionally flattens the cycle body, so both
+are only admissible because they compute *exactly* what stepping computes.
+This module is the proof machinery.  For one (workload, configuration) case
+it runs
 
-* every counter in the :class:`~repro.stats.result.SimResult` tree,
-  recursively — pipeline stats, stall breakdowns, SB/MSHR/cache/traffic/
-  energy counters, per-region extras;
-* the full cycle-level event stream — same events, same order, same cycle
-  stamps (compared via :func:`repro.trace.events_digest` plus a first-diverging
+* the step-every-cycle **oracle** — :meth:`Pipeline.step` until
+  :meth:`Pipeline.done`, warm-up split included — and requires both
+  skipping engines to equal it on the full :class:`~repro.stats.result.SimResult`
+  tree, recursively (pipeline stats, stall breakdowns, SB/MSHR/cache/
+  traffic/energy counters, per-region extras);
+* the **fast engine against the reference**, additionally on the full
+  cycle-level event stream — same events, same order, same cycle stamps
+  (compared via :func:`repro.trace.events_digest` plus a first-diverging
   -event report for debuggability);
 * optionally, the trace-derived metrics of a
   :class:`~repro.trace.MetricsRegistry` shadow check on each engine.
@@ -18,16 +23,15 @@ engines and compares
 workloads × all store-prefetch policies × warmup on/off) and a
 hypothesis-driven fuzzer through :func:`run_case`.
 
-The multicore half of the module proves the event-heap scheduler
-(:mod:`repro.multicore.scheduler`) against the lockstep oracle the same
-way: :func:`run_multicore_case` runs one PARSEC workload through both
-engines and compares the complete per-core statistics tree (pipeline, SB,
-private caches, MSHR, traffic, TLB, prefetchers, store-prefetch engine and
-SPB detector), the shared-uncore tree (L3, L3 MSHR, DRAM, directory) and
-the per-core event streams.  Whole-stream ordering is deliberately *not*
-compared: the scheduler visits cores in event-heap order, so events from
-different cores interleave differently in the tracer even though every
-core's own stream — the architecturally meaningful order — is identical.
+The multicore half does the same for :class:`MulticoreSystem`: the oracle
+steps every pending core every cycle, and both the lockstep loop and the
+event heap must equal it on the complete per-core statistics tree
+(pipeline, SB, private caches, MSHR, traffic, TLB, prefetchers,
+store-prefetch engine and SPB detector) and the shared-uncore tree (L3, L3
+MSHR, DRAM, directory).  The event heap must also equal the lockstep loop
+on every core's event stream in the canonical form of
+:func:`canonical_core_events`; whole-stream ordering is deliberately *not*
+compared, because the heap visits cores in heap order.
 ``tests/test_differential_multicore.py`` drives :func:`multicore_matrix`,
 which includes SPB burst cells on a shared-heap workload so cross-core
 invalidation traffic is part of the proof.
@@ -41,9 +45,10 @@ from typing import Sequence
 
 from repro.config.system import StorePrefetchPolicy, SystemConfig
 from repro.core.policies import SpbPrefetch
+from repro.cpu.pipeline import Pipeline
 from repro.isa.trace import Trace
 from repro.multicore.system import MulticoreSystem
-from repro.sim.runner import simulate
+from repro.sim.runner import _simulate, simulate
 from repro.trace import CollectorSink, Tracer, events_digest, shadow_registry_for
 from repro.workloads.parsec import parsec
 from repro.workloads.spec import spec2017
@@ -72,7 +77,8 @@ class DiffCase:
     """One differential-testing case: a workload run under one configuration.
 
     The ``config``'s own ``engine`` field is irrelevant — :func:`run_case`
-    forces both engines via :meth:`SystemConfig.with_engine`.
+    forces both engines via :meth:`SystemConfig.with_engine`, and runs the
+    oracle as well.
     """
 
     workload: str
@@ -192,6 +198,22 @@ def compare_events(ref_events: Sequence, fast_events: Sequence) -> list[str]:
     return problems
 
 
+class _SteppedPipeline(Pipeline):
+    """The single-core oracle: :meth:`step` every cycle, never jump."""
+
+    def run(self, max_cycles: int = 500_000_000):
+        while not self.done():
+            self.step()
+        return self.stats
+
+
+def _run_oracle(trace: Trace, case: DiffCase):
+    """The step-every-cycle result of ``case`` (untraced)."""
+    return _simulate(
+        _SteppedPipeline, trace, case.config, case.sim_seed, case.warmup, None
+    )
+
+
 def _run_engine(
     trace: Trace, case: DiffCase, engine: str, shadow: bool
 ):
@@ -223,9 +245,9 @@ def _run_engine(
 
 
 def run_case(case: DiffCase, *, shadow: bool = False) -> DiffReport:
-    """Run ``case`` on both engines and diff everything observable.
+    """Run ``case`` on both engines and the oracle; diff everything observable.
 
-    The workload trace is built once and fed to both engines, so the only
+    The workload trace is built once and fed to every run, so the only
     variable is the execution engine.  With ``shadow=True`` each engine also
     carries a :func:`shadow_registry_for` registry whose event-derived
     metrics must match that engine's own counters.
@@ -247,6 +269,12 @@ def diff_trace(trace: Trace, case: DiffCase, *, shadow: bool = False) -> DiffRep
     problems += compare_events(ref_events, fast_events)
     problems += ref_shadow
     problems += fast_shadow
+    oracle = _run_oracle(trace, case)
+    for engine, result in (("reference", ref_result), ("fast", fast_result)):
+        problems += [
+            f"oracle vs {engine}: {problem}"
+            for problem in compare_results(oracle, result)
+        ]
     return DiffReport(case=case, problems=problems)
 
 
@@ -321,7 +349,7 @@ def run_matrix(
 
 
 # --------------------------------------------------------------------------
-# Multicore: event-heap scheduler vs lockstep oracle
+# Multicore: lockstep loop and event heap vs the step-every-cycle oracle
 # --------------------------------------------------------------------------
 
 #: Multicore matrix rows: (workload, threads, per-thread length, policies).
@@ -329,10 +357,10 @@ def run_matrix(
 #: store onset (dedup and x264 emit their first store around µop ~6400, so
 #: shorter traces would leave the SB/drain/SPB paths unproven; canneal
 #: stores from the first µops; swaptions is compute-bound and storeless —
-#: the pure scheduler/compute cell, like exchange2 in the single-core
+#: the pure compute cell, like exchange2 in the single-core
 #: matrix).  dedup's shared heap (1 MiB) is small enough that four threads
 #: collide on blocks, so its SPB cells drive cross-core invalidations
-#: through the directory — the coherence interaction the scheduler must not
+#: through the directory — the coherence interaction the event heap must not
 #: reorder.  The remaining rows spread engine coverage (policies, core
 #: counts, app mixes) without running the full cross product in CI.
 MULTICORE_CELLS = (
@@ -348,7 +376,8 @@ class MulticoreDiffCase:
     """One multicore differential case: a PARSEC workload on N cores.
 
     As with :class:`DiffCase`, the ``config``'s own ``engine`` field is
-    irrelevant — :func:`run_multicore_case` forces both engines.
+    irrelevant — :func:`run_multicore_case` forces both engines and runs the
+    oracle.
     """
 
     workload: str
@@ -423,13 +452,62 @@ def _run_multicore_engine(
     return _multicore_snapshot(system, result), collector.events
 
 
-def compare_multicore_events(ref_events: Sequence, fast_events: Sequence) -> list[str]:
-    """Compare per-core event streams (global interleaving is unordered).
+def _run_multicore_oracle(traces: Sequence[Trace], case: MulticoreDiffCase) -> dict:
+    """Statistics snapshot of stepping every pending core every cycle."""
+    system = MulticoreSystem(
+        case.config.with_engine("reference"), list(traces), seed=case.sim_seed
+    )
+    pending = [p for p in system.pipelines if not p.done()]
+    while pending:
+        for pipeline in pending:
+            pipeline.step()
+        pending = [p for p in pending if not p.done()]
+    return _multicore_snapshot(system, system._result())
 
-    The event-heap scheduler visits cores in heap order, so the tracer sees
-    a different *global* interleaving than the lockstep loop even when every
-    core behaves identically.  Each core's own stream, however, must match
-    event for event — that is the architectural guarantee.
+
+def canonical_core_events(events: Sequence) -> tuple[list, list[int]]:
+    """One core's event stream in the form both multicore loops agree on.
+
+    Returns ``(events, releases)``:
+
+    * ``mshr.release`` events move to ``releases``, as their sorted
+      ``value`` (the retired completion cycle).  A miss retires whenever
+      its core next expires its MSHRs, and lockstep steps a blocked core on
+      every cycle another core progresses, where the heap settles the whole
+      span at once — so release stamps differ, and so does their order,
+      since one expiry retires demand misses before prefetches.
+    * Consecutive ``stall.dispatch`` events with the same tag and pc merge
+      into one: the first stamp, the summed ``value``.  Lockstep charges a
+      blocked span one stepped cycle or one global jump at a time; the
+      heap charges it in one piece.
+    """
+    merged: list = []
+    releases: list[int] = []
+    for event in events:
+        if event.kind == "mshr.release":
+            releases.append(event.value)
+            continue
+        last = merged[-1] if merged else None
+        if (
+            event.kind == "stall.dispatch"
+            and last is not None
+            and last.kind == "stall.dispatch"
+            and last.tag == event.tag
+            and last.pc == event.pc
+        ):
+            merged[-1] = replace(last, value=last.value + event.value)
+        else:
+            merged.append(event)
+    return merged, sorted(releases)
+
+
+def compare_multicore_events(ref_events: Sequence, fast_events: Sequence) -> list[str]:
+    """Compare per-core event streams in canonical form.
+
+    The event heap visits cores in heap order, so the tracer sees a
+    different *global* interleaving than the lockstep loop even when every
+    core behaves identically.  Each core's own stream, in the form of
+    :func:`canonical_core_events`, must match event for event.
     """
     problems: list[str] = []
 
@@ -442,28 +520,37 @@ def compare_multicore_events(ref_events: Sequence, fast_events: Sequence) -> lis
     ref_split = by_core(ref_events)
     fast_split = by_core(fast_events)
     for core in sorted(ref_split.keys() | fast_split.keys()):
-        for problem in compare_events(
-            ref_split.get(core, []), fast_split.get(core, [])
-        ):
+        ref_stream, ref_releases = canonical_core_events(ref_split.get(core, []))
+        fast_stream, fast_releases = canonical_core_events(fast_split.get(core, []))
+        for problem in compare_events(ref_stream, fast_stream):
             problems.append(f"core {core}: {problem}")
+        if ref_releases != fast_releases:
+            problems.append(
+                f"core {core}: mshr.release values differ: "
+                f"{len(ref_releases)} reference vs {len(fast_releases)} fast"
+            )
     return problems
 
 
 def run_multicore_case(case: MulticoreDiffCase) -> DiffReport:
-    """Run ``case`` on both engines and diff everything observable.
+    """Run ``case`` on both engines and the oracle; diff everything observable.
 
-    The per-thread traces are built once and fed to both engines; the diff
-    covers the full statistics tree (per-core and shared uncore) plus every
-    core's event stream.
+    The per-thread traces are built once and fed to every run.  Both
+    engines' statistics trees (per-core and shared uncore) must equal the
+    oracle's and each other's, and their per-core event streams must agree
+    in canonical form.
     """
     traces = parsec(
         case.workload, threads=case.threads, length=case.length, seed=case.seed
     )
     ref_snap, ref_events = _run_multicore_engine(traces, case, "reference")
     fast_snap, fast_events = _run_multicore_engine(traces, case, "fast")
+    oracle_snap = _run_multicore_oracle(traces, case)
     problems: list[str] = []
     compare_values("multicore", ref_snap, fast_snap, problems)
     problems += compare_multicore_events(ref_events, fast_events)
+    for engine, snap in (("reference", ref_snap), ("fast", fast_snap)):
+        compare_values(f"oracle vs {engine}: multicore", oracle_snap, snap, problems)
     return DiffReport(case=case, problems=problems)
 
 
@@ -475,7 +562,7 @@ def multicore_matrix(
     """The CI multicore differential matrix: workloads × cores × policies.
 
     As in :func:`default_matrix`, SB size 14 maximises SB-full stalls so the
-    scheduler's cycle-skipping paths stay busy; the ideal policy runs with
+    engines' cycle-skipping paths stay busy; the ideal policy runs with
     an unbounded SB.  ``config.num_cores`` tracks the thread count so the
     shared uncore is sized as a real run of that width would size it.
     """

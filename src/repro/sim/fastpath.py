@@ -6,37 +6,39 @@
 :class:`~repro.stats.counters.PipelineStats`, the stall breakdown, SB/MSHR/
 traffic statistics and the full cycle-level event stream match the reference
 engine exactly; the differential harness in :mod:`repro.sim.diffcheck`
-enforces this on every change.
+enforces this on every change, and proves both engines equal to stepping
+every cycle.
 
 Where the speed comes from
 --------------------------
 
-* **One flat run loop.**  The reference engine dispatches through
-  ``_cycle_body`` → ``_drain_sb`` / ``_commit`` / ``_dispatch`` /
-  ``_attribute_stall`` every cycle.  The fast engine transcribes those
-  phases into a single function whose per-cycle state (cycle counter,
+* **One flat core loop.**  The reference engine dispatches through
+  ``step`` → ``_drain_sb`` / ``_commit`` / ``_dispatch`` /
+  ``_attribute_stall`` every cycle.  :meth:`FastPipeline.core_loop` holds
+  those phases in a single generator whose per-cycle state (cycle counter,
   fetch pointer, queue occupancies, SB-head latch) lives in local
   variables, eliminating thousands of attribute lookups and method calls
-  per simulated kilocycle.
+  per simulated kilocycle.  Single-core :meth:`FastPipeline.run` drives it
+  with no horizon; the multicore event heap
+  (:meth:`repro.multicore.system.MulticoreSystem.run`) drives one per core,
+  each up to the next core's ``(cycle, core)`` key.
 
 * **Precomputed µop arrays.**  ``MicroOp`` property calls (``is_load``,
   ``latency``) and the per-access ``addr // block_bytes`` division are
   folded into flat per-index lists at construction: kind codes, cache-block
   numbers, execution latencies, dependency distances, PCs and branch
   annotations.  The hot loop reads plain list slots instead of touching µop
-  objects at all.
+  objects at all.  This precompute makes construction engine-specific.
 
 * **Inlined store-buffer fast path.**  The pipeline's SB is always
   constructed unbounded (capacity is enforced at dispatch), so the push /
   pop bookkeeping is inlined without the capacity checks, while keeping the
   same statistics and trace events.
 
-* **Quiescent-span skipping.**  Like the reference engine, when a cycle
-  makes no progress (no in-flight fill arriving, SB head waiting on a
-  known-latency miss, frontend redirect pending) the loop advances the
-  cycle counter straight to the next scheduled event and scales stall
-  attribution and occupancy sampling by the span length.  The skip
-  conditions are identical by construction, so cycle counts match exactly.
+* **Exact quiescent-span skipping.**  When a cycle makes no progress the
+  loop settles every cycle up to the core's next event by arithmetic, as
+  :meth:`Pipeline._skip_to` does: stall bucket and SB occupancy scaled by
+  the span, L1D-pending cycles up to the last in-flight L1 miss.
 
 Statistics are accumulated in local integers and flushed to the shared
 stat objects when the loop exits (also on error, via ``finally``), so a
@@ -46,6 +48,7 @@ completed run is indistinguishable from a reference run.
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 
 from repro.core.store_buffer import StoreBufferEntry
@@ -56,12 +59,15 @@ from repro.isa.uop import OP_LATENCIES, OpKind
 _ALU, _LOAD, _STORE, _BRANCH = 0, 1, 2, 3
 _TAGS = ("alu", "load", "store", "branch")
 
+#: Horizon of a core running alone: it never hands control back.
+_NO_HORIZON = (sys.maxsize, 0)
+
 
 class FastPipeline(Pipeline):
     """Bit-identical, faster implementation of the reference pipeline.
 
-    Only :meth:`run` is overridden; :meth:`~Pipeline.step` (the multicore
-    lockstep entry point) and all queries fall back to the reference
+    Only :meth:`run` is overridden, with :meth:`core_loop` as its body;
+    :meth:`~Pipeline.step` and all queries fall back to the reference
     implementation, which keeps the two engines interchangeable everywhere.
     """
 
@@ -86,8 +92,25 @@ class FastPipeline(Pipeline):
         self._fp_mispreds = [op.mispredicted for op in ops]
         self._fp_takens = [op.taken for op in ops]
 
-    def run(self, max_cycles: int = 500_000_000):  # noqa: C901 — one hot loop
-        """Run to completion; semantics transcribed from the reference loop."""
+    def run(self, max_cycles: int = 500_000_000):
+        """Run to completion: the core loop with no horizon."""
+        for _ in self.core_loop(max_cycles):
+            pass
+        return self.stats
+
+    def core_loop(self, max_cycles: int = 500_000_000):  # noqa: C901 — one hot loop
+        """Generator running this core's cycle bodies up to a horizon.
+
+        A core that is already done returns at once.  Otherwise the first
+        ``next()`` yields the cycle of its first body.  Each resumption
+        sends a horizon ``(cycle, core_id)`` — ``None`` (what ``next()``
+        sends) means no horizon.  The loop runs bodies while its own
+        ``(cycle, core_id)`` is below the horizon, settles each quiescent
+        span by arithmetic up to its own next event, and yields the cycle
+        of its next body once that reaches the horizon.  It returns when
+        the core is done.  The semantics are those of
+        :meth:`Pipeline.step` and :meth:`Pipeline._skip_to`.
+        """
         # ---- immutable context, hoisted to locals -----------------------
         ops = self._ops
         n = self._n
@@ -110,6 +133,8 @@ class FastPipeline(Pipeline):
         sb = self.sb
         sb_entries = sb._entries
         sb_len = len(sb_entries)
+        if self._ip >= n and not rob_len and not sb_len:
+            return
         sb_blocks = sb._blocks
         sb_get = sb_blocks.get
         sb_stats = sb.stats
@@ -146,8 +171,8 @@ class FastPipeline(Pipeline):
         on_store_performed = engine.on_store_performed
         mshr_outstanding = l1_mshr.outstanding
         # The in-flight heaps are mutated in place and never rebound, so
-        # their truthiness gates the per-cycle ``outstanding`` call: with
-        # both empty there is nothing to expire and the count is zero.
+        # their truthiness gates the ``outstanding`` and ``busy_until``
+        # calls: with both empty nothing is in flight.
         mshr_demand = l1_mshr._demand
         mshr_prefetch = l1_mshr._prefetch
 
@@ -162,6 +187,8 @@ class FastPipeline(Pipeline):
         fetch_resume = self._fetch_resume
         sb_head_ready = self._sb_head_ready
         sb_head_accounted = self._sb_head_accounted
+        block_reason = self._block_reason
+        blocked_pc = self._blocked_pc
 
         # ---- statistic accumulators (flushed on exit) -------------------
         cycles_acc = 0
@@ -188,7 +215,9 @@ class FastPipeline(Pipeline):
         max_occ = sb_stats.max_occupancy
 
         try:
-            while ip < n or rob_len or sb_len:
+            horizon = yield cycle
+            horizon_cycle, horizon_core = horizon or _NO_HORIZON
+            while True:
                 # ---- drain the SB head (reference: _drain_sb) -----------
                 drained = False
                 if sb_len:
@@ -233,7 +262,6 @@ class FastPipeline(Pipeline):
                         sb_head_ready = None
                         sb_head_accounted = False
                         drained = True
-
                 # ---- commit (reference: _commit) ------------------------
                 committed = 0
                 while committed < width and rob_len:
@@ -409,12 +437,10 @@ class FastPipeline(Pipeline):
                                     break
 
                 # ---- stall attribution, sampling, advance ---------------
-                # Reference order: _attribute_stall for the blocked cycle
-                # (event stamped at the pre-increment cycle), the L1D-miss-
-                # pending check (whose MSHR expiry may emit mshr.release),
-                # occupancy sampling, then the cycle increment; a second
-                # _attribute_stall for a skipped span is stamped at the
-                # post-increment cycle.
+                # Reference order (Pipeline.step): stall attribution stamped
+                # at this cycle, the L1D-miss-pending check (whose MSHR
+                # expiry may emit mshr.release), occupancy sampling, then
+                # the cycle increment.
                 if dispatched == 0 and ip < n:
                     if tracer is not None and block_reason is not None:
                         tracer.emit(
@@ -434,44 +460,41 @@ class FastPipeline(Pipeline):
                         stall_lq += 1
                     elif block_reason == "rob":
                         stall_rob += 1
-                l1d_pending = False
                 if (
                     committed == 0
                     and (mshr_demand or mshr_prefetch)
                     and mshr_outstanding(cycle)
                 ):
                     exec_stall_acc += 1
-                    l1d_pending = True
                 occ_integral_acc += sb_len
                 occ_samples_acc += 1
                 cycles_acc += 1
                 cycle += 1
 
                 if not (drained or committed or dispatched):
-                    # Quiescent span: jump to the next scheduled event
-                    # (reference: _next_event), charging the skipped cycles
-                    # to the same stall bucket.
+                    # Quiescent span: settle [cycle, next event) by
+                    # arithmetic (reference: _next_event, _skip_to).
                     target = 0
-                    if sb_head_ready is not None and sb_head_ready > cycle:
+                    if sb_head_ready is not None and sb_head_ready >= cycle:
                         target = sb_head_ready
                     if rob_len:
                         head_ready = ready[rob[0]]
-                        if head_ready > cycle and (
+                        if head_ready >= cycle and (
                             target == 0 or head_ready < target
                         ):
                             target = head_ready
-                    if ip < n and fetch_resume > cycle and (
+                    if ip < n and fetch_resume >= cycle and (
                         target == 0 or fetch_resume < target
                     ):
                         target = fetch_resume
-                    if iq_release and iq_release[0] > cycle and (
-                        target == 0 or iq_release[0] < target
+                    if (
+                        block_reason == "issue_queue"
+                        and iq_release[0] >= cycle
+                        and (target == 0 or iq_release[0] < target)
                     ):
                         target = iq_release[0]
-                    if target <= cycle + 1:
-                        target = cycle + 1
-                    extra = target - cycle
-                    if extra > 0:
+                    if target > cycle:
+                        extra = target - cycle
                         if ip < n:
                             if tracer is not None and block_reason is not None:
                                 tracer.emit(
@@ -493,18 +516,29 @@ class FastPipeline(Pipeline):
                                 stall_lq += extra
                             elif block_reason == "rob":
                                 stall_rob += extra
-                        if l1d_pending:
-                            exec_stall_acc += extra
+                        if mshr_demand or mshr_prefetch:
+                            busy_until = l1_mshr.busy_until()
+                            if busy_until > cycle:
+                                exec_stall_acc += (
+                                    busy_until if busy_until < target else target
+                                ) - cycle
                         occ_integral_acc += sb_len * extra
                         occ_samples_acc += extra
                         cycles_acc += extra
                         cycle = target
+                elif ip >= n and not rob_len and not sb_len:
+                    return
 
                 if cycle > max_cycles:
                     raise RuntimeError(
                         f"simulation exceeded {max_cycles} cycles "
                         f"(ip={ip}/{n}, rob={rob_len}, sb={sb_len})"
                     )
+                if cycle > horizon_cycle or (
+                    cycle == horizon_cycle and core_id > horizon_core
+                ):
+                    horizon = yield cycle
+                    horizon_cycle, horizon_core = horizon or _NO_HORIZON
         finally:
             # ---- flush locals back to the shared state ------------------
             rob_shared.clear()
@@ -517,6 +551,8 @@ class FastPipeline(Pipeline):
             self._fetch_resume = fetch_resume
             self._sb_head_ready = sb_head_ready
             self._sb_head_accounted = sb_head_accounted
+            self._block_reason = block_reason
+            self._blocked_pc = blocked_pc
             stats.cycles += cycles_acc
             stats.committed_uops += uops_acc
             stats.committed_stores += stores_acc
@@ -539,8 +575,6 @@ class FastPipeline(Pipeline):
             sb_stats.coalesced += coalesce_acc
             sb_stats.drains += drain_acc
             sb_stats.max_occupancy = max_occ
-        return stats
-
 
 #: Engine name -> pipeline implementation.
 ENGINE_CLASSES = {"reference": Pipeline, "fast": FastPipeline}

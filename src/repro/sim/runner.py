@@ -29,6 +29,12 @@ from repro.sim.fastpath import pipeline_class
 from repro.stats.result import SimResult
 from repro.stats.topdown import TopDownMetrics
 
+#: Version of the simulated model's semantics, part of every result key.
+#: Bump it whenever a change moves simulated results, so persistent stores
+#: never serve numbers the current model would not produce.
+#: 2: quiescent-span skipping made exact (multicore spans charge stalls).
+MODEL_VERSION = 2
+
 
 def split_warmup(trace: Trace, warmup: int) -> tuple[Trace | None, Trace]:
     """Split ``trace`` into its warm-up slice and the measured remainder.
@@ -99,11 +105,17 @@ def simulate(
     :class:`repro.trace.Tracer`, or ``None`` for zero-overhead silence)
     observes the measured portion only, mirroring the counters.
     """
+    return _simulate(pipeline_class(config.engine), trace, config, seed, warmup, tracer)
+
+
+def _simulate(
+    cls, trace: Trace, config: SystemConfig, seed: int, warmup: int, tracer
+) -> SimResult:
+    """:func:`simulate` on an explicit pipeline class (a test seam)."""
     hierarchy = MemoryHierarchy(
         config.caches, prefetcher=build_prefetcher(config.cache_prefetcher)
     )
     engine = build_store_prefetch_engine(config.store_prefetch, hierarchy, config.spb)
-    cls = pipeline_class(config.engine)
     start_cycle = 0
     warm_part, trace = split_warmup(trace, warmup)
     if warm_part is not None:
@@ -153,8 +165,8 @@ def simulate_multicore(
 
     ``engine`` overrides ``config.engine`` for this run ("reference" or
     "fast"); the choice never changes results — the multicore differential
-    matrix proves the event-heap scheduler bit-identical to the lockstep
-    oracle — only how quickly they arrive.
+    matrix proves the event heap and the lockstep loop equal to stepping
+    every core every cycle — only how quickly they arrive.
     """
     if engine is not None:
         config = config.with_engine(engine)
@@ -169,11 +181,12 @@ def result_key(
 
     Workload traces are deterministic functions of (name, length, seed), so
     together with ``config.cache_key()`` (a stable hash of the whole machine
-    description) the string identifies the run completely.  Both the
-    in-process :class:`ResultsCache` and the on-disk result store in
-    :mod:`repro.campaign` key by it, so the two tiers share entries.
+    description) and :data:`MODEL_VERSION` the string identifies the run
+    completely.  Both the in-process :class:`ResultsCache` and the on-disk
+    result store in :mod:`repro.campaign` key by it, so the two tiers share
+    entries.
     """
-    return f"{name}-L{length}-s{seed}-w{warmup}-{config.cache_key()}"
+    return f"{name}-L{length}-s{seed}-w{warmup}-m{MODEL_VERSION}-{config.cache_key()}"
 
 
 class ResultsCache:

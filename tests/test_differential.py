@@ -1,6 +1,9 @@
-"""Differential tests: the fast engine must be bit-identical to the reference.
+"""Differential tests: both engines equal stepping every cycle.
 
-Four layers, all built on :mod:`repro.sim.diffcheck`:
+Every case runs the step-every-cycle oracle too: both skipping engines must
+equal it on the full statistics tree, and the fast engine must be
+bit-identical to the reference, event stream included.  Four layers, all
+built on :mod:`repro.sim.diffcheck`:
 
 * the **matrix** — tier-1 workloads × every store-prefetch policy × warmup
   on/off, with trace lengths chosen so the store-heavy rows actually reach
@@ -29,6 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config.system import StorePrefetchPolicy, SystemConfig
+from repro.cpu.pipeline import Pipeline
 from repro.isa.trace import Trace
 from repro.isa.uop import MicroOp, OpKind
 from repro.sim.diffcheck import (
@@ -75,9 +79,28 @@ class TestCompareValues:
         assert problems == ["d['only_ref']: only in reference result"]
 
 
+def test_oracle_catches_a_jump_past_a_due_event(monkeypatch):
+    """Jumping one cycle too far must diverge from the oracle.
+
+    This is the defect the oracle exists for: engine-to-engine checks alone
+    cannot see it when every engine shares the jump.
+    """
+    exact = Pipeline._next_event
+    monkeypatch.setattr(Pipeline, "_next_event", lambda self: exact(self) + 1)
+    trace = _store_burst_trace()
+    case = DiffCase(
+        workload=trace.name, length=len(trace),
+        config=SystemConfig.skylake(sb_entries=4, store_prefetch="at-commit"),
+    )
+    problems = diff_trace(trace, case).problems
+    assert any(p.startswith("oracle vs reference:") for p in problems)
+    assert not any(p.startswith("oracle vs fast:") for p in problems)
+
+
 @pytest.mark.parametrize("case", MATRIX, ids=lambda case: case.describe())
 def test_engines_bit_identical(case):
-    """Every matrix cell: identical SimResult trees and event streams."""
+    """Every matrix cell: both engines equal the oracle's SimResult tree,
+    and each other's event stream."""
     report = run_case(case)
     assert report.identical, report.message()
 

@@ -1,11 +1,12 @@
-"""Multicore differential matrix: event-heap scheduler vs lockstep oracle.
+"""Multicore differential matrix: lockstep loop and event heap vs the oracle.
 
 Every cell of :func:`repro.sim.diffcheck.multicore_matrix` runs one PARSEC
-workload through both engines and must be bit-identical across the complete
-per-core statistics tree, the shared-uncore tree and every core's event
-stream.  The matrix includes SPB cells on dedup, whose shared heap drives
-cross-core invalidations through the directory — a dedicated test pins that
-coverage so the matrix cannot silently stop exercising coherence.
+workload through both engines and through the step-every-cycle oracle.  Both
+engines must equal the oracle across the complete per-core statistics tree
+and the shared-uncore tree, and each other on every core's event stream in
+canonical form.  The matrix includes SPB cells on dedup, whose shared heap
+drives cross-core invalidations through the directory — a dedicated test
+pins that coverage so the matrix cannot silently stop exercising coherence.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.config.system import SystemConfig
+from repro.cpu.pipeline import Pipeline
 from repro.multicore.system import MulticoreSystem
 from repro.sim.diffcheck import (
     MulticoreDiffCase,
+    canonical_core_events,
     multicore_matrix,
     run_multicore_case,
     shrink_multicore_case,
 )
+from repro.trace.events import TraceEvent
 from repro.workloads.parsec import parsec
 
 import pytest
@@ -31,6 +35,60 @@ MATRIX = multicore_matrix()
 def test_engines_bit_identical(case):
     report = run_multicore_case(case)
     assert report.identical, report.message()
+
+
+def test_oracle_catches_cycles_only_jumps(monkeypatch):
+    """A lockstep jump that charges only ``cycles`` must fail the oracle.
+
+    Such a jump drops the stall buckets, SB occupancy samples and
+    L1D-pending cycles of every blocked core.  The event heap does not use
+    ``_skip_to`` and must stay equal to the oracle.
+    """
+    def cycles_only(self, target):
+        self.stats.cycles += target - self.cycle
+        self.cycle = target
+
+    monkeypatch.setattr(Pipeline, "_skip_to", cycles_only)
+    case = MulticoreDiffCase(
+        workload="canneal",
+        config=SystemConfig.skylake(
+            sb_entries=14, store_prefetch="at-commit", num_cores=2
+        ),
+        threads=2,
+        length=1_500,
+    )
+    problems = run_multicore_case(case).problems
+    assert any(p.startswith("oracle vs reference:") for p in problems)
+    assert not any(p.startswith("oracle vs fast:") for p in problems)
+
+
+class TestCanonicalCoreEvents:
+    def test_stall_runs_merge_and_releases_lose_their_stamps(self):
+        lockstep = [
+            TraceEvent(10, "stall.dispatch", pc=4, tag="sb", value=1),
+            TraceEvent(11, "stall.dispatch", pc=4, tag="sb", value=1),
+            TraceEvent(11, "mshr.release", value=11),
+            TraceEvent(12, "stall.dispatch", pc=4, tag="sb", value=5),
+            TraceEvent(17, "uop.commit", value=3, tag="load"),
+        ]
+        heap = [
+            TraceEvent(10, "stall.dispatch", pc=4, tag="sb", value=1),
+            TraceEvent(11, "stall.dispatch", pc=4, tag="sb", value=6),
+            TraceEvent(17, "mshr.release", value=11),
+            TraceEvent(17, "uop.commit", value=3, tag="load"),
+        ]
+        events, releases = canonical_core_events(lockstep)
+        assert (events, releases) == canonical_core_events(heap)
+        assert events[0] == TraceEvent(10, "stall.dispatch", pc=4, tag="sb", value=7)
+        assert releases == [11]
+
+    def test_different_stall_causes_stay_apart(self):
+        stream = [
+            TraceEvent(10, "stall.dispatch", pc=4, tag="sb", value=1),
+            TraceEvent(11, "stall.dispatch", pc=8, tag="sb", value=1),
+            TraceEvent(12, "stall.dispatch", tag="rob", value=1),
+        ]
+        assert canonical_core_events(stream)[0] == stream
 
 
 def test_matrix_includes_spb_cross_core_invalidation():

@@ -45,23 +45,22 @@ class TestExecution:
 
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_single_core_multicore_matches_simulate_exactly(self, engine):
-        """A 1-core multicore run times out identically to ``simulate``.
+        """A 1-core multicore run is a single-core run, counter for counter.
 
-        The schedulers only differ from the single-core loop in how they
-        *attribute* skipped cycles to stall causes, never in when anything
-        happens — so cycle counts and committed work must match exactly.
+        Every cycle, stall bucket, L1D-pending cycle, per-PC SB stall and
+        SB statistic must equal ``simulate``'s.
         """
         from repro import simulate
 
-        for app, length in (("dedup", 4_000), ("swaptions", 2_000)):
+        for app, length in (("dedup", 8_000), ("swaptions", 2_000)):
             traces = parsec(app, threads=1, length=length)
             config = SystemConfig.skylake(num_cores=1, engine=engine)
-            multi = simulate_multicore(traces, config)
+            system = MulticoreSystem(config, traces)
+            multi = system.run()
             single = simulate(traces[0], config)
-            assert multi.cycles == single.cycles
-            assert multi.per_core[0].committed_uops == (
-                single.pipeline.committed_uops
-            )
+            assert multi.cycles == single.pipeline.cycles
+            assert multi.per_core[0] == single.pipeline
+            assert system.pipelines[0].sb.stats == single.sb_stats
 
     def test_engine_override_beats_config(self):
         traces = parsec("swaptions", threads=2, length=2_000)

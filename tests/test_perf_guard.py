@@ -7,13 +7,16 @@ speedups are cleanest):
 * the fast engine is at least 1.5× the reference engine, measured
   in-process on the same machine in the same run (machine-independent);
 * the reference engine has not regressed more than 20% against the
-  throughput recorded in the committed ``BENCH_fastpath.json`` snapshot
-  (machine-dependent — skip on slow machines).
+  committed ``BENCH_fastpath.json`` snapshot.  Throughput is measured in
+  µops simulated per run of a fixed pure-Python calibration kernel, timed
+  in the same process, in CPU time, by the same function that wrote the
+  snapshot — so a slower or busier host moves both sides alike and the
+  guard measures the code, not the machine.
 
-A second pair of assertions covers the multicore event-heap scheduler:
-fast ≥ 1.5× reference in-process on a 4-core dedup cell (``run()`` timed
-only — construction is engine-independent), and the committed
-``BENCH_multicore.json`` snapshot must record a geomean ≥ 1.8×.
+A second pair of assertions covers the multicore event heap: fast ≥ 1.5×
+reference in-process on a 4-core dedup cell (``run()`` timed only, on a
+system built untimed), and the committed ``BENCH_multicore.json`` snapshot
+must record a geomean ≥ 1.8×.
 
 ``REPRO_SKIP_PERF=1`` skips the whole module (laptops, loaded CI boxes).
 Regenerate both snapshots with ``python benchmarks/bench_simulator_throughput.py``.
@@ -22,6 +25,7 @@ Regenerate both snapshots with ``python benchmarks/bench_simulator_throughput.py
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
 import os
 import time
@@ -44,6 +48,15 @@ MULTICORE_BENCH_PATH = _ROOT / "BENCH_multicore.json"
 MULTICORE_THREADS = 4
 MULTICORE_LENGTH = 8_000
 MULTICORE_ROUNDS = 3
+
+
+def _load_throughput_bench():
+    """The module that writes the snapshot, so both measure the same way."""
+    path = _ROOT / "benchmarks" / "bench_simulator_throughput.py"
+    spec = importlib.util.spec_from_file_location("_bench_throughput", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -82,17 +95,19 @@ def test_fast_engine_at_least_1_5x_reference(timings):
     )
 
 
-def test_reference_engine_not_regressed_vs_snapshot(timings):
-    snapshot = json.loads(BENCH_PATH.read_text())
-    baseline = snapshot["cells"]["compute/at-commit"]["reference_uops_per_s"]
-    measured = LENGTH / timings["reference"]
+def test_reference_engine_not_regressed_vs_snapshot():
+    cell = json.loads(BENCH_PATH.read_text())["cells"]["compute/at-commit"]
+    baseline = cell["reference_uops_per_calibration_run"]
+    measured = _load_throughput_bench().uops_per_calibration_run(
+        spec2017("exchange2", length=LENGTH), "at-commit"
+    )
     floor = 0.8 * baseline
     assert measured >= floor, (
-        f"reference engine at {measured:.0f} µops/s, more than 20% below the "
-        f"committed baseline of {baseline} µops/s (floor {floor:.0f}); "
-        "either fix the regression or regenerate BENCH_fastpath.json via "
-        "'python benchmarks/bench_simulator_throughput.py' "
-        "(REPRO_SKIP_PERF=1 skips on slow machines)"
+        f"reference engine at {measured:.0f} µops per calibration-kernel "
+        f"run, more than 20% below the committed baseline of {baseline} "
+        f"(floor {floor:.0f}); either fix the regression or regenerate "
+        "BENCH_fastpath.json via "
+        "'python benchmarks/bench_simulator_throughput.py fastpath'"
     )
 
 
@@ -110,9 +125,9 @@ def test_snapshot_records_the_target_speedup():
 def multicore_timings():
     """Best-of-N run() seconds per engine on a 4-core dedup cell.
 
-    Construction (trace annotation, per-µop array precompute) is shared,
-    engine-independent work, so each timed region covers ``system.run()``
-    only — a fresh ``MulticoreSystem`` is built untimed before each run.
+    Each timed region covers ``system.run()`` only — a fresh
+    ``MulticoreSystem`` is built untimed before each run, since the fast
+    engine's per-µop precompute makes construction engine-specific.
     """
     from repro import parsec
     from repro.multicore.system import MulticoreSystem
@@ -151,7 +166,7 @@ def test_multicore_fast_engine_at_least_1_5x_reference(multicore_timings):
         f"multicore fast engine only {speedup:.2f}x reference "
         f"(ref {multicore_timings['reference']:.4f}s, "
         f"fast {multicore_timings['fast']:.4f}s); "
-        "the event-heap scheduler has regressed"
+        "the multicore event heap has regressed"
     )
 
 

@@ -23,12 +23,20 @@ import pytest
 from repro.config import SystemConfig
 from repro.isa.trace import Trace
 from repro.isa.uop import MicroOp, OpKind
-from repro.sim.runner import simulate
+from repro.sim.runner import MODEL_VERSION, simulate
 from repro.trace import CollectorSink, Tracer, events_digest, lines_digest
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_PATH = os.path.join(GOLDEN_DIR, "canonical_trace.jsonl")
 DIGEST_PATH = os.path.join(GOLDEN_DIR, "canonical_trace.sha256")
+
+#: sha256 of the golden trace file under each ``MODEL_VERSION``.  A timing
+#: change regenerates the golden file; it must also bump the version (and
+#: add its digest here), so persisted results keyed by the old version are
+#: never served for the new model.
+GOLDEN_DIGEST_BY_MODEL_VERSION = {
+    2: "1bbede0dcd7e6199fd6a0bec52c582da1453e8bfc323ad3e4c14455edabb6198",
+}
 
 
 def canonical_trace() -> Trace:
@@ -103,6 +111,18 @@ class TestGoldenTrace:
             pytest.skip("regenerating")
         lines = open(GOLDEN_PATH, encoding="ascii").read().splitlines()
         assert lines_digest(lines) == open(DIGEST_PATH).read().strip()
+
+    def test_golden_change_bumps_model_version(self):
+        if os.environ.get("REPRO_REGOLDEN"):
+            pytest.skip("regenerating")
+        lines = open(GOLDEN_PATH, encoding="ascii").read().splitlines()
+        assert lines_digest(lines) == GOLDEN_DIGEST_BY_MODEL_VERSION.get(
+            MODEL_VERSION
+        ), (
+            "the golden trace changed without a MODEL_VERSION bump: bump "
+            "repro.sim.runner.MODEL_VERSION and pin the new digest in "
+            "GOLDEN_DIGEST_BY_MODEL_VERSION"
+        )
 
     def test_capture_is_deterministic(self):
         assert events_digest(capture_events()) == events_digest(capture_events())
