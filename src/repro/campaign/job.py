@@ -148,23 +148,17 @@ class Campaign:
         base_config: SystemConfig | None = None,
         workload_kind: str = "spec2017",
         name: str = "campaign",
-        engine: str | None = None,
         threads: int = 0,
     ) -> "Campaign":
         """Expand an apps × policies × SB-sizes × prefetchers cross product.
 
         Every figure in the paper is one slice of this matrix; deduplicated
         job keys guarantee a cell shared by several slices simulates once.
-        ``engine`` selects the execution engine for every cell ("reference"
-        or "fast"); it never changes results (see the differential harness)
-        or job keys, so cached cells stay shared across engines.
         ``threads`` > 0 makes every cell a multicore run of an N-thread
         workload (pair it with a multicore ``workload_kind`` such as
         "parsec"); ``config.num_cores`` follows it automatically.
         """
         base = base_config or SystemConfig()
-        if engine is not None:
-            base = base.with_engine(engine)
         if threads:
             base = replace(base, num_cores=threads)
         jobs: list[Job] = []

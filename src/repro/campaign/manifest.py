@@ -28,7 +28,7 @@ from repro.campaign.job import Campaign
 
 _REQUIRED = {"apps"}
 _OPTIONAL = {"name", "policies", "sb_sizes", "prefetchers", "length", "seed",
-             "warmup", "workload_kind", "engine", "threads"}
+             "warmup", "workload_kind", "threads"}
 
 
 class ManifestError(ValueError):

@@ -20,7 +20,7 @@ import sys
 from repro import SystemConfig, parsec, simulate, simulate_multicore, spec2017
 from repro.analysis.report import compile_report
 from repro.analysis.tables import ascii_bar_chart, format_table
-from repro.config.system import SIM_ENGINES, StorePrefetchPolicy
+from repro.config.system import StorePrefetchPolicy
 from repro.isa.serialize import load_trace, save_trace
 from repro.workloads import parsec_names, spec2017_names
 from repro.workloads.parsec import PARSEC_APPS
@@ -85,7 +85,7 @@ def _build_run_tracer(args, config):
 def _cmd_run(args) -> int:
     config = SystemConfig.skylake(
         sb_entries=args.sb, store_prefetch=args.policy,
-        cache_prefetcher=args.prefetcher, engine=args.engine,
+        cache_prefetcher=args.prefetcher,
     )
     tracer, ring, registry = _build_run_tracer(args, config)
     result = simulate(_build_trace(args), config, tracer=tracer)
@@ -135,9 +135,7 @@ def _cmd_compare(args) -> int:
     results = {}
     for policy in StorePrefetchPolicy:
         entries = 1024 if policy == StorePrefetchPolicy.IDEAL else args.sb
-        config = SystemConfig.skylake(
-            sb_entries=entries, store_prefetch=policy, engine=args.engine
-        )
+        config = SystemConfig.skylake(sb_entries=entries, store_prefetch=policy)
         results[policy.value] = simulate(trace, config)
     ideal_cycles = results["ideal"].cycles
     rows = [
@@ -163,8 +161,7 @@ def _cmd_compare(args) -> int:
 def _cmd_multicore(args) -> int:
     config = SystemConfig.skylake(
         sb_entries=args.sb, store_prefetch=args.policy,
-        cache_prefetcher=args.prefetcher, engine=args.engine,
-        num_cores=args.threads,
+        cache_prefetcher=args.prefetcher, num_cores=args.threads,
     )
     traces = parsec(args.app, threads=args.threads, length=args.length,
                     seed=args.seed)
@@ -180,8 +177,7 @@ def _cmd_multicore(args) -> int:
             f"{stats.sb_stall_cycles / cycles:.1%}",
         ))
     print(f"workload: {args.app} × {args.threads} threads "
-          f"({args.length} µops each), policy {args.policy}, "
-          f"engine {args.engine}\n")
+          f"({args.length} µops each), policy {args.policy}\n")
     print(format_table(("core", "cycles", "committed", "IPC", "SB-stall"), rows))
     print(f"\nsystem: {result.cycles} cycles, "
           f"IPC {result.system_ipc:.3f}, "
@@ -234,7 +230,6 @@ def _cmd_campaign(args) -> int:
                 length=args.length,
                 seed=args.seed,
                 warmup=args.warmup,
-                engine=args.engine,
                 threads=args.threads,
                 workload_kind="parsec" if args.threads else "spec2017",
             )
@@ -348,10 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sb", type=int, default=56, help="store-buffer entries")
     run.add_argument("--prefetcher", default="stream",
                      choices=("none", "stream", "aggressive", "adaptive"))
-    run.add_argument("--engine", default="reference", choices=SIM_ENGINES,
-                     help="execution engine; 'fast' is the cycle-skipping "
-                          "engine proven bit-identical by the differential "
-                          "harness (docs/FASTPATH.md)")
     run.add_argument("--trace", default="off",
                      choices=("off", "ring", "jsonl", "chrome"),
                      help="capture cycle-level events (ring buffer summary, "
@@ -368,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="compare all policies")
     _add_workload_args(compare)
     compare.add_argument("--sb", type=int, default=14)
-    compare.add_argument("--engine", default="reference", choices=SIM_ENGINES,
-                         help="execution engine for every policy run")
     compare.set_defaults(func=_cmd_compare)
 
     multicore = sub.add_parser(
@@ -388,11 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="store-buffer entries per core")
     multicore.add_argument("--prefetcher", default="stream",
                            choices=("none", "stream", "aggressive", "adaptive"))
-    multicore.add_argument("--engine", default="reference", choices=SIM_ENGINES,
-                           help="execution engine; 'fast' is the event heap "
-                                "with per-core cycle skipping, proven equal "
-                                "by the multicore differential matrix "
-                                "(docs/FASTPATH.md)")
     multicore.set_defaults(func=_cmd_multicore)
 
     campaign = sub.add_parser(
@@ -418,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="make every cell one N-core multicore run of a "
                                "PARSEC workload ('all'/'sb-bound' app sets "
                                "then resolve to PARSEC names)")
-    campaign.add_argument("--engine", default="reference", choices=SIM_ENGINES,
-                          help="execution engine for every cell (results and "
-                               "cache keys are engine-independent)")
     campaign.add_argument("--manifest",
                           help="JSON manifest describing the matrix "
                                "(overrides the matrix flags)")

@@ -85,10 +85,10 @@ class SpbConfig:
         return 58 + self.counter_bits + store_count_bits
 
 
-#: Execution engines the runner can select.  ``reference`` is the plain
-#: cycle-driven pipeline (the executable specification); ``fast`` is the
-#: cycle-skipping engine in :mod:`repro.sim.fastpath`, proven bit-identical
-#: by the differential harness (:mod:`repro.sim.diffcheck`).
+#: Execution engines the runner can select.  ``fast`` (the default) is the
+#: cycle-skipping engine in :mod:`repro.sim.fastpath`; ``reference`` steps
+#: every cycle and is the model's specification, which the differential
+#: harness (:mod:`repro.sim.diffcheck`) proves the fast engine equal to.
 SIM_ENGINES = ("reference", "fast")
 
 
@@ -105,7 +105,7 @@ class SystemConfig:
     # Which execution engine simulates this config.  The engine changes how
     # fast the simulator runs, never what it computes, so it is excluded
     # from :meth:`cache_key` (see there).
-    engine: str = "reference"
+    engine: str = "fast"
 
     def __post_init__(self) -> None:
         # Accept plain strings for the enums ("spb", "stream", ...).
@@ -159,18 +159,13 @@ class SystemConfig:
         """Copy of this config with a different SB capacity."""
         return replace(self, core=self.core.with_store_buffer(entries))
 
-    def with_engine(self, engine: str) -> "SystemConfig":
-        """Copy of this config simulated by a different execution engine."""
-        return replace(self, engine=engine)
-
     def cache_key(self) -> str:
         """Stable hash of the machine description, used by the results cache.
 
         The ``engine`` field is deliberately excluded: the differential
-        harness (:mod:`repro.sim.diffcheck`) proves both engines produce
-        bit-identical results, so the key identifies the *result*, not the
-        code path that computed it — fast and reference runs share cache
-        entries and committed benchmark results stay valid.
+        harness (:mod:`repro.sim.diffcheck`) proves the fast engine equal to
+        the stepping specification, so the key identifies the *result*, not
+        the code path that computed it.
         """
         payload_dict = asdict(self)
         payload_dict.pop("engine", None)

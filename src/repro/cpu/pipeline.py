@@ -24,14 +24,12 @@ redirect and inject wrong-path work proportional to their resolution
 latency — the mechanism behind the paper's observation that SPB's faster
 load resolution cuts misspeculated instructions.
 
-When a cycle makes no progress the loop jumps to the next event (fill
-arrival, ROB-head completion, redirect resolution, issue-queue release).
-Every cycle it passes over is quiescent — the core's state is frozen and it
-touches no shared structure — so :meth:`Pipeline._skip_to` charges the span
-exactly as stepping each cycle would: the stall bucket, the SB occupancy
-sample and the L1D-pending cycles (the latter only until the last in-flight
-L1 miss completes).  ``run()`` therefore equals calling :meth:`step` until
-:meth:`done`, counter for counter, while keeping long misses cheap.
+This class is the model's specification: :meth:`run` calls :meth:`step`
+until :meth:`done`, one call per simulated cycle, so every counter is
+charged by the cycle it belongs to.  The production engine
+(:class:`repro.sim.fastpath.FastPipeline`) flattens the same cycle body and
+settles quiescent spans by arithmetic; the differential harness
+(:mod:`repro.sim.diffcheck`) proves it equal to this loop.
 """
 
 from __future__ import annotations
@@ -119,7 +117,9 @@ class Pipeline:
         self._sb_head_accounted = False
         self._last_load_block = 0
         self._last_store_block = 0
-        self._block_reason: str | None = None  # of the last stepped cycle
+        # The fast engine's block-reason latch, kept across resumptions of
+        # its core loop (FastPipeline.core_loop).
+        self._block_reason: str | None = None
         self._blocked_pc = 0
         # A warmed-up run continues the hierarchy's clock: MSHR and DRAM
         # state are stamped in absolute cycles.
@@ -328,74 +328,42 @@ class Pipeline:
                     break
         return dispatched, None, 0
 
-    def _attribute_stall(
-        self, block_reason: str | None, blocked_pc: int, cycles: int = 1
-    ) -> None:
-        """Charge ``cycles`` of dispatch stall to the blocking resource."""
+    def _attribute_stall(self, block_reason: str | None, blocked_pc: int) -> None:
+        """Charge this cycle's dispatch stall to the blocking resource."""
         stats = self.stats
         tracer = self.tracer
         if tracer is not None and block_reason is not None:
             tracer.emit(
                 self.cycle, "stall.dispatch", core=self._core_id,
-                tag=block_reason, value=cycles,
+                tag=block_reason, value=1,
                 pc=blocked_pc if block_reason == "sb" else None,
             )
         if block_reason == "sb":
-            stats.stalls.sb_full += cycles
-            stats.sb_stall_cycles += cycles
-            stats.sb_stall_by_pc[blocked_pc] += cycles
+            stats.stalls.sb_full += 1
+            stats.sb_stall_cycles += 1
+            stats.sb_stall_by_pc[blocked_pc] += 1
         elif block_reason == "frontend":
-            stats.stalls.frontend += cycles
+            stats.stalls.frontend += 1
         elif block_reason == "issue_queue":
-            stats.stalls.issue_queue_full += cycles
+            stats.stalls.issue_queue_full += 1
         elif block_reason == "load_queue":
-            stats.stalls.load_queue_full += cycles
+            stats.stalls.load_queue_full += 1
         elif block_reason == "rob":
-            stats.stalls.rob_full += cycles
+            stats.stalls.rob_full += 1
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def _next_event(self) -> int:
-        """Earliest cycle, at or after the current one, at which anything
-        can change.  Called after a quiescent :meth:`step`, once the counter
-        has advanced past it."""
-        cycle = self.cycle
-        candidates = []
-        if self._sb_head_ready is not None and self._sb_head_ready >= cycle:
-            candidates.append(self._sb_head_ready)
-        if self._rob:
-            index, _ = self._rob[0]
-            if self._ready[index] >= cycle:
-                candidates.append(self._ready[index])
-        if self._ip < self._n and self._fetch_resume >= cycle:
-            candidates.append(self._fetch_resume)
-        # An issue-queue release matters only to a dispatch the issue
-        # queue blocks: it cannot change any other block reason.
-        if (
-            self._block_reason == "issue_queue"
-            and self._iq_release
-            and self._iq_release[0] >= cycle
-        ):
-            candidates.append(self._iq_release[0])
-        return min(candidates) if candidates else cycle
-
     def done(self) -> bool:
         return self._ip >= self._n and not self._rob and self.sb.is_empty
 
     def step(self) -> bool:
-        """Advance one cycle; returns whether anything progressed.
-
-        The dispatch block reason is kept so :meth:`_skip_to` can charge a
-        following quiescent span to the same stall bucket.
-        """
+        """Advance one cycle; returns whether anything progressed."""
         drained = self._drain_sb()
         committed = self._commit()
         dispatched, block_reason, blocked_pc = self._dispatch()
         if dispatched == 0 and self._ip < self._n:
             self._attribute_stall(block_reason, blocked_pc)
-        self._block_reason = block_reason
-        self._blocked_pc = blocked_pc
         if committed == 0 and self.hierarchy.l1_mshr.outstanding(self.cycle):
             self.stats.exec_stall_l1d_pending += 1
         self.sb.sample_occupancy()
@@ -403,32 +371,10 @@ class Pipeline:
         self.cycle += 1
         return bool(drained or committed or dispatched)
 
-    def _skip_to(self, target: int) -> None:
-        """Charge the quiescent cycles ``[cycle, target)`` and jump to ``target``.
-
-        Only valid right after a :meth:`step` without progress and up to the
-        next event: every skipped cycle would stall on the same resource,
-        sample the same SB occupancy and see the same in-flight L1 misses,
-        which retire (and stop counting as L1D-pending) at their completion.
-        """
-        cycle = self.cycle
-        extra = target - cycle
-        if extra <= 0:
-            return
-        if self._ip < self._n:
-            self._attribute_stall(self._block_reason, self._blocked_pc, extra)
-        busy_until = self.hierarchy.l1_mshr.busy_until()
-        if busy_until > cycle:
-            self.stats.exec_stall_l1d_pending += min(busy_until, target) - cycle
-        self.sb.sample_occupancy(weight=extra)
-        self.stats.cycles += extra
-        self.cycle = target
-
     def run(self, max_cycles: int = 500_000_000) -> PipelineStats:
-        """Run to completion, jumping over quiescent spans."""
+        """Run to completion, stepping every cycle."""
         while not self.done():
-            if not self.step():
-                self._skip_to(self._next_event())
+            self.step()
             if self.cycle > max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded {max_cycles} cycles "

@@ -12,6 +12,9 @@ This both validates the paper's approximation (a thread co-running under
 SMT-2 behaves like the paper's SB28 single-thread run) and extends it: it
 measures whole-core throughput, where SPB's benefit compounds across
 threads because every thread's bursts stall the shared drain port.
+
+The co-run has no fast path: it steps every core cycle, so each thread's
+stall buckets and SB occupancy samples cover every cycle it ran.
 """
 
 from __future__ import annotations
@@ -102,20 +105,17 @@ class SmtCore:
         self.engines = engines
         self.cycle = 0
 
-    def _step(self) -> bool:
+    def _step(self) -> None:
         """One core cycle: shared drain port, per-thread commit, alternating
-        dispatch.  Returns True when any thread made progress."""
-        progress = False
+        dispatch."""
         # One store per cycle may drain across all threads (shared L1 port);
         # rotate priority so no thread starves.
         for offset in range(self.threads):
             pipeline = self.pipelines[(self.cycle + offset) % self.threads]
             if pipeline._drain_sb():
-                progress = True
                 break
         for pipeline in self.pipelines:
-            if pipeline._commit():
-                progress = True
+            pipeline._commit()
         # The front end shares the dispatch width competitively: threads are
         # offered slots round-robin (rotating priority), and a thread that
         # cannot use its slots yields them to the next one — so a stalled
@@ -124,9 +124,7 @@ class SmtCore:
         for offset in range(self.threads):
             pipeline = self.pipelines[(self.cycle + offset) % self.threads]
             dispatched, reason, blocked_pc = pipeline._dispatch(budget)
-            pipeline._block_reason = reason
             if dispatched:
-                progress = True
                 budget -= dispatched
             elif pipeline._ip < pipeline._n:
                 pipeline._attribute_stall(reason, blocked_pc)
@@ -137,23 +135,11 @@ class SmtCore:
             pipeline.stats.cycles += 1
             pipeline.cycle += 1
         self.cycle += 1
-        return progress
 
     def run(self, max_cycles: int = 500_000_000) -> SmtResult:
-        """Run all threads to completion."""
+        """Run all threads to completion, stepping every cycle."""
         while not all(p.done() for p in self.pipelines):
-            progress = self._step()
-            if not progress:
-                # Jump to the earliest event across threads.
-                target = min(
-                    p._next_event() for p in self.pipelines if not p.done()
-                )
-                extra = max(0, target - self.cycle)
-                if extra:
-                    for pipeline in self.pipelines:
-                        pipeline.stats.cycles += extra
-                        pipeline.cycle += extra
-                    self.cycle += extra
+            self._step()
             if self.cycle > max_cycles:
                 raise RuntimeError(f"SMT run exceeded {max_cycles} cycles")
         return SmtResult(

@@ -7,15 +7,15 @@ for.
 
 Cores interact only through the shared uncore, and only inside a cycle body:
 a blocked core's state is frozen and it makes no hierarchy call.  Two loops
-use that, and both equal stepping every core every cycle:
+run a system:
 
-* under the reference engine cores advance in lockstep, one cycle at a time
-  in core order, and jump only when every core is blocked at once, each
-  core charging the jumped span as single-core ``run()`` would;
-* under ``engine="fast"`` a heap of ``(cycle, core)`` keys resumes one core
-  at a time with the next key as its horizon
+* under ``engine="reference"`` every pending core steps every cycle, in core
+  order — the specification of a multicore run;
+* under ``engine="fast"`` (the default) a heap of ``(cycle, core)`` keys
+  resumes one core at a time with the next key as its horizon
   (:meth:`repro.sim.fastpath.FastPipeline.core_loop`), so bodies still run
-  in lockstep order while each core settles its own quiescent spans.
+  in lockstep order while each core settles its own quiescent spans.  The
+  multicore differential matrix proves it equal to the reference loop.
 """
 
 from __future__ import annotations
@@ -92,21 +92,11 @@ class MulticoreSystem:
             )
 
     def run(self, max_cycles: int = 500_000_000) -> MulticoreResult:
-        """Run all cores to completion.
-
-        Under ``engine="fast"`` the event heap advances each core
-        independently with per-core cycle skipping; otherwise the reference
-        lockstep loop runs.  Both produce the per-core statistics of
-        stepping every core every cycle (enforced by the multicore
-        differential matrix).
-        """
+        """Run all cores to completion on the configured engine's loop."""
         if self.config.engine == "fast":
             self._run_heap(max_cycles)
         else:
             self._run_lockstep(max_cycles)
-        return self._result()
-
-    def _result(self) -> MulticoreResult:
         return MulticoreResult(
             cycles=max(p.stats.cycles for p in self.pipelines),
             per_core=[p.stats for p in self.pipelines],
@@ -114,7 +104,7 @@ class MulticoreSystem:
         )
 
     def _run_lockstep(self, max_cycles: int) -> None:
-        """Advance all cores one cycle at a time (the reference loop)."""
+        """Step every pending core every cycle, in core order."""
         pending = [p for p in self.pipelines if not p.done()]
         while pending:
             progress = False
@@ -124,12 +114,6 @@ class MulticoreSystem:
             # A core can only reach done() on a cycle it progressed.
             if progress:
                 pending = [p for p in pending if not p.done()]
-            else:
-                # Every core is blocked: jump all of them to the earliest
-                # event, each charging the span to its own stall bucket.
-                target = min(p._next_event() for p in pending)
-                for pipeline in pending:
-                    pipeline._skip_to(target)
             if pending and pending[0].cycle > max_cycles:
                 raise RuntimeError(f"multicore run exceeded {max_cycles} cycles")
 

@@ -1,40 +1,38 @@
-"""Differential harness proving the skipping engines exact.
+"""Differential harness proving the fast engine equal to the specification.
 
 The simplest loop defines what the model means: step every core every
-cycle.  The reference engine jumps over quiescent spans and the fast engine
-(:mod:`repro.sim.fastpath`) additionally flattens the cycle body, so both
-are only admissible because they compute *exactly* what stepping computes.
-This module is the proof machinery.  For one (workload, configuration) case
-it runs
+cycle.  That is the reference engine (``SystemConfig.engine =
+"reference"``): :meth:`Pipeline.run` calls :meth:`Pipeline.step` until
+:meth:`Pipeline.done`, and the multicore lockstep loop steps every pending
+core every cycle.  The fast engine (:mod:`repro.sim.fastpath`) flattens the
+cycle body and settles quiescent spans by arithmetic, so it is only
+admissible because it computes *exactly* what stepping computes.  This
+module is the proof machinery.  For one (workload, configuration) case it
+runs both engines and requires
 
-* the step-every-cycle **oracle** — :meth:`Pipeline.step` until
-  :meth:`Pipeline.done`, warm-up split included — and requires both
-  skipping engines to equal it on the full :class:`~repro.stats.result.SimResult`
-  tree, recursively (pipeline stats, stall breakdowns, SB/MSHR/cache/
-  traffic/energy counters, per-region extras);
-* the **fast engine against the reference**, additionally on the full
-  cycle-level event stream — same events, same order, same cycle stamps
-  (compared via :func:`repro.trace.events_digest` plus a first-diverging
-  -event report for debuggability);
-* optionally, the trace-derived metrics of a
-  :class:`~repro.trace.MetricsRegistry` shadow check on each engine.
+* equal :class:`~repro.stats.result.SimResult` trees, recursively (pipeline
+  stats, stall breakdowns, SB/MSHR/cache/traffic/energy counters,
+  per-region extras), warm-up split included;
+* equal cycle-level event streams in the canonical form of
+  :func:`canonical_core_events` — stepping charges a stalled span one
+  ``stall.dispatch`` event per cycle where the fast loop charges it in one
+  piece, and the two retire MSHR entries at different stamps;
+* optionally, on each engine, the trace-derived metrics of a
+  :class:`~repro.trace.MetricsRegistry` shadow check.
 
 ``tests/test_differential.py`` drives :func:`default_matrix` (tier-1
 workloads × all store-prefetch policies × warmup on/off) and a
 hypothesis-driven fuzzer through :func:`run_case`.
 
-The multicore half does the same for :class:`MulticoreSystem`: the oracle
-steps every pending core every cycle, and both the lockstep loop and the
-event heap must equal it on the complete per-core statistics tree
+The multicore half does the same for :class:`MulticoreSystem`: the event
+heap must equal the lockstep loop on the complete per-core statistics tree
 (pipeline, SB, private caches, MSHR, traffic, TLB, prefetchers,
-store-prefetch engine and SPB detector) and the shared-uncore tree (L3, L3
-MSHR, DRAM, directory).  The event heap must also equal the lockstep loop
-on every core's event stream in the canonical form of
-:func:`canonical_core_events`; whole-stream ordering is deliberately *not*
-compared, because the heap visits cores in heap order.
-``tests/test_differential_multicore.py`` drives :func:`multicore_matrix`,
-which includes SPB burst cells on a shared-heap workload so cross-core
-invalidation traffic is part of the proof.
+store-prefetch engine and SPB detector), the shared-uncore tree (L3, L3
+MSHR, DRAM, directory) and every core's canonical event stream; whole-stream
+ordering is deliberately *not* compared, because the heap visits cores in
+heap order.  ``tests/test_differential_multicore.py`` drives
+:func:`multicore_matrix`, which includes SPB burst cells on a shared-heap
+workload so cross-core invalidation traffic is part of the proof.
 """
 
 from __future__ import annotations
@@ -45,10 +43,9 @@ from typing import Sequence
 
 from repro.config.system import StorePrefetchPolicy, SystemConfig
 from repro.core.policies import SpbPrefetch
-from repro.cpu.pipeline import Pipeline
 from repro.isa.trace import Trace
 from repro.multicore.system import MulticoreSystem
-from repro.sim.runner import _simulate, simulate
+from repro.sim.runner import simulate
 from repro.trace import CollectorSink, Tracer, events_digest, shadow_registry_for
 from repro.workloads.parsec import parsec
 from repro.workloads.spec import spec2017
@@ -77,8 +74,7 @@ class DiffCase:
     """One differential-testing case: a workload run under one configuration.
 
     The ``config``'s own ``engine`` field is irrelevant — :func:`run_case`
-    forces both engines via :meth:`SystemConfig.with_engine`, and runs the
-    oracle as well.
+    runs the case on both engines.
     """
 
     workload: str
@@ -198,27 +194,11 @@ def compare_events(ref_events: Sequence, fast_events: Sequence) -> list[str]:
     return problems
 
 
-class _SteppedPipeline(Pipeline):
-    """The single-core oracle: :meth:`step` every cycle, never jump."""
-
-    def run(self, max_cycles: int = 500_000_000):
-        while not self.done():
-            self.step()
-        return self.stats
-
-
-def _run_oracle(trace: Trace, case: DiffCase):
-    """The step-every-cycle result of ``case`` (untraced)."""
-    return _simulate(
-        _SteppedPipeline, trace, case.config, case.sim_seed, case.warmup, None
-    )
-
-
 def _run_engine(
     trace: Trace, case: DiffCase, engine: str, shadow: bool
 ):
     """One engine's run: (result, events, shadow problems)."""
-    config = case.config.with_engine(engine)
+    config = replace(case.config, engine=engine)
     collector = CollectorSink()
     sinks: list[object] = [collector]
     registry = shadow_registry_for(config) if shadow else None
@@ -245,7 +225,7 @@ def _run_engine(
 
 
 def run_case(case: DiffCase, *, shadow: bool = False) -> DiffReport:
-    """Run ``case`` on both engines and the oracle; diff everything observable.
+    """Run ``case`` on both engines; diff everything observable.
 
     The workload trace is built once and fed to every run, so the only
     variable is the execution engine.  With ``shadow=True`` each engine also
@@ -266,15 +246,9 @@ def diff_trace(trace: Trace, case: DiffCase, *, shadow: bool = False) -> DiffRep
     ref_result, ref_events, ref_shadow = _run_engine(trace, case, "reference", shadow)
     fast_result, fast_events, fast_shadow = _run_engine(trace, case, "fast", shadow)
     problems = compare_results(ref_result, fast_result)
-    problems += compare_events(ref_events, fast_events)
+    problems += compare_core_events(ref_events, fast_events)
     problems += ref_shadow
     problems += fast_shadow
-    oracle = _run_oracle(trace, case)
-    for engine, result in (("reference", ref_result), ("fast", fast_result)):
-        problems += [
-            f"oracle vs {engine}: {problem}"
-            for problem in compare_results(oracle, result)
-        ]
     return DiffReport(case=case, problems=problems)
 
 
@@ -349,7 +323,7 @@ def run_matrix(
 
 
 # --------------------------------------------------------------------------
-# Multicore: lockstep loop and event heap vs the step-every-cycle oracle
+# Multicore: the event heap vs the lockstep loop
 # --------------------------------------------------------------------------
 
 #: Multicore matrix rows: (workload, threads, per-thread length, policies).
@@ -376,8 +350,7 @@ class MulticoreDiffCase:
     """One multicore differential case: a PARSEC workload on N cores.
 
     As with :class:`DiffCase`, the ``config``'s own ``engine`` field is
-    irrelevant — :func:`run_multicore_case` forces both engines and runs the
-    oracle.
+    irrelevant — :func:`run_multicore_case` runs the case on both engines.
     """
 
     workload: str
@@ -443,7 +416,7 @@ def _run_multicore_engine(
     traces: Sequence[Trace], case: MulticoreDiffCase, engine: str
 ) -> tuple[dict, list]:
     """One engine's multicore run: (statistics snapshot, events)."""
-    config = case.config.with_engine(engine)
+    config = replace(case.config, engine=engine)
     collector = CollectorSink()
     system = MulticoreSystem(
         config, list(traces), seed=case.sim_seed, tracer=Tracer([collector])
@@ -452,34 +425,21 @@ def _run_multicore_engine(
     return _multicore_snapshot(system, result), collector.events
 
 
-def _run_multicore_oracle(traces: Sequence[Trace], case: MulticoreDiffCase) -> dict:
-    """Statistics snapshot of stepping every pending core every cycle."""
-    system = MulticoreSystem(
-        case.config.with_engine("reference"), list(traces), seed=case.sim_seed
-    )
-    pending = [p for p in system.pipelines if not p.done()]
-    while pending:
-        for pipeline in pending:
-            pipeline.step()
-        pending = [p for p in pending if not p.done()]
-    return _multicore_snapshot(system, system._result())
-
-
 def canonical_core_events(events: Sequence) -> tuple[list, list[int]]:
-    """One core's event stream in the form both multicore loops agree on.
+    """One core's event stream in the form both engines agree on.
 
     Returns ``(events, releases)``:
 
     * ``mshr.release`` events move to ``releases``, as their sorted
       ``value`` (the retired completion cycle).  A miss retires whenever
-      its core next expires its MSHRs, and lockstep steps a blocked core on
-      every cycle another core progresses, where the heap settles the whole
-      span at once — so release stamps differ, and so does their order,
-      since one expiry retires demand misses before prefetches.
+      its core next expires its MSHRs: stepping does so on every cycle,
+      the fast loop only where a cycle body or a settled span asks — so
+      release stamps differ, and so does their order, since one expiry
+      retires demand misses before prefetches.
     * Consecutive ``stall.dispatch`` events with the same tag and pc merge
-      into one: the first stamp, the summed ``value``.  Lockstep charges a
-      blocked span one stepped cycle or one global jump at a time; the
-      heap charges it in one piece.
+      into one: the first stamp, the summed ``value``.  Stepping charges a
+      blocked span one cycle at a time; the fast loop charges it in one
+      piece.
     """
     merged: list = []
     releases: list[int] = []
@@ -501,13 +461,14 @@ def canonical_core_events(events: Sequence) -> tuple[list, list[int]]:
     return merged, sorted(releases)
 
 
-def compare_multicore_events(ref_events: Sequence, fast_events: Sequence) -> list[str]:
+def compare_core_events(ref_events: Sequence, fast_events: Sequence) -> list[str]:
     """Compare per-core event streams in canonical form.
 
-    The event heap visits cores in heap order, so the tracer sees a
-    different *global* interleaving than the lockstep loop even when every
-    core behaves identically.  Each core's own stream, in the form of
-    :func:`canonical_core_events`, must match event for event.
+    Each core's own stream, in the form of :func:`canonical_core_events`,
+    must match event for event.  Only per-core order is compared: the event
+    heap visits cores in heap order, so the tracer sees a different
+    *global* interleaving than the lockstep loop even when every core
+    behaves identically.
     """
     problems: list[str] = []
 
@@ -533,24 +494,20 @@ def compare_multicore_events(ref_events: Sequence, fast_events: Sequence) -> lis
 
 
 def run_multicore_case(case: MulticoreDiffCase) -> DiffReport:
-    """Run ``case`` on both engines and the oracle; diff everything observable.
+    """Run ``case`` on both engines; diff everything observable.
 
-    The per-thread traces are built once and fed to every run.  Both
-    engines' statistics trees (per-core and shared uncore) must equal the
-    oracle's and each other's, and their per-core event streams must agree
-    in canonical form.
+    The per-thread traces are built once and fed to both runs.  The
+    engines' statistics trees (per-core and shared uncore) must be equal,
+    and their per-core event streams must agree in canonical form.
     """
     traces = parsec(
         case.workload, threads=case.threads, length=case.length, seed=case.seed
     )
     ref_snap, ref_events = _run_multicore_engine(traces, case, "reference")
     fast_snap, fast_events = _run_multicore_engine(traces, case, "fast")
-    oracle_snap = _run_multicore_oracle(traces, case)
     problems: list[str] = []
     compare_values("multicore", ref_snap, fast_snap, problems)
-    problems += compare_multicore_events(ref_events, fast_events)
-    for engine, snap in (("reference", ref_snap), ("fast", fast_snap)):
-        compare_values(f"oracle vs {engine}: multicore", oracle_snap, snap, problems)
+    problems += compare_core_events(ref_events, fast_events)
     return DiffReport(case=case, problems=problems)
 
 

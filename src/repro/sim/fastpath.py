@@ -1,18 +1,19 @@
 """Cycle-skipping fast engine for the hot simulation loop.
 
-:class:`FastPipeline` is a drop-in replacement for
-:class:`repro.cpu.pipeline.Pipeline` selected via ``SystemConfig.engine =
-"fast"``.  It computes **bit-identical** results — every counter in
-:class:`~repro.stats.counters.PipelineStats`, the stall breakdown, SB/MSHR/
-traffic statistics and the full cycle-level event stream match the reference
-engine exactly; the differential harness in :mod:`repro.sim.diffcheck`
-enforces this on every change, and proves both engines equal to stepping
-every cycle.
+:class:`FastPipeline` is the production engine (``SystemConfig.engine =
+"fast"``, the default) and a drop-in replacement for
+:class:`repro.cpu.pipeline.Pipeline`, whose step-every-cycle ``run`` is the
+model's specification.  It computes **identical** results — every counter
+in :class:`~repro.stats.counters.PipelineStats`, the stall breakdown, SB/
+MSHR/traffic statistics, and the cycle-level event stream up to how a
+stalled span is split into ``stall.dispatch`` events and when MSHR releases
+are stamped; the differential harness in :mod:`repro.sim.diffcheck`
+enforces this on every change.
 
 Where the speed comes from
 --------------------------
 
-* **One flat core loop.**  The reference engine dispatches through
+* **One flat core loop.**  The specification dispatches through
   ``step`` → ``_drain_sb`` / ``_commit`` / ``_dispatch`` /
   ``_attribute_stall`` every cycle.  :meth:`FastPipeline.core_loop` holds
   those phases in a single generator whose per-cycle state (cycle counter,
@@ -37,12 +38,12 @@ Where the speed comes from
 
 * **Exact quiescent-span skipping.**  When a cycle makes no progress the
   loop settles every cycle up to the core's next event by arithmetic, as
-  :meth:`Pipeline._skip_to` does: stall bucket and SB occupancy scaled by
-  the span, L1D-pending cycles up to the last in-flight L1 miss.
+  stepping each of them would: stall bucket and SB occupancy scaled by the
+  span, L1D-pending cycles up to the last in-flight L1 miss.
 
 Statistics are accumulated in local integers and flushed to the shared
 stat objects when the loop exits (also on error, via ``finally``), so a
-completed run is indistinguishable from a reference run.
+completed run is indistinguishable from a stepped one.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ _NO_HORIZON = (sys.maxsize, 0)
 
 
 class FastPipeline(Pipeline):
-    """Bit-identical, faster implementation of the reference pipeline.
+    """Identical, faster implementation of the stepping pipeline.
 
     Only :meth:`run` is overridden, with :meth:`core_loop` as its body;
-    :meth:`~Pipeline.step` and all queries fall back to the reference
-    implementation, which keeps the two engines interchangeable everywhere.
+    :meth:`~Pipeline.step` and all queries fall back to the specification,
+    which keeps the two engines interchangeable everywhere.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -108,8 +109,8 @@ class FastPipeline(Pipeline):
         ``(cycle, core_id)`` is below the horizon, settles each quiescent
         span by arithmetic up to its own next event, and yields the cycle
         of its next body once that reaches the horizon.  It returns when
-        the core is done.  The semantics are those of
-        :meth:`Pipeline.step` and :meth:`Pipeline._skip_to`.
+        the core is done.  The semantics are those of calling
+        :meth:`Pipeline.step` every cycle.
         """
         # ---- immutable context, hoisted to locals -----------------------
         ops = self._ops
@@ -473,7 +474,7 @@ class FastPipeline(Pipeline):
 
                 if not (drained or committed or dispatched):
                     # Quiescent span: settle [cycle, next event) by
-                    # arithmetic (reference: _next_event, _skip_to).
+                    # arithmetic, as stepping each cycle would charge it.
                     target = 0
                     if sb_head_ready is not None and sb_head_ready >= cycle:
                         target = sb_head_ready

@@ -105,13 +105,7 @@ def simulate(
     :class:`repro.trace.Tracer`, or ``None`` for zero-overhead silence)
     observes the measured portion only, mirroring the counters.
     """
-    return _simulate(pipeline_class(config.engine), trace, config, seed, warmup, tracer)
-
-
-def _simulate(
-    cls, trace: Trace, config: SystemConfig, seed: int, warmup: int, tracer
-) -> SimResult:
-    """:func:`simulate` on an explicit pipeline class (a test seam)."""
+    cls = pipeline_class(config.engine)
     hierarchy = MemoryHierarchy(
         config.caches, prefetcher=build_prefetcher(config.cache_prefetcher)
     )
@@ -159,17 +153,8 @@ def simulate_multicore(
     config: SystemConfig,
     seed: int = 7,
     tracer=None,
-    engine: str | None = None,
 ) -> MulticoreResult:
-    """Run one per-core trace each on a coherent multi-core system.
-
-    ``engine`` overrides ``config.engine`` for this run ("reference" or
-    "fast"); the choice never changes results — the multicore differential
-    matrix proves the event heap and the lockstep loop equal to stepping
-    every core every cycle — only how quickly they arrive.
-    """
-    if engine is not None:
-        config = config.with_engine(engine)
+    """Run one per-core trace each on a coherent multi-core system."""
     system = MulticoreSystem(config, list(traces), seed=seed, tracer=tracer)
     return system.run()
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -60,51 +61,49 @@ class TestCommands:
 
 
 class TestEngineFlag:
-    def test_engine_defaults_to_reference(self):
-        for argv in (["run", "gcc"], ["compare", "gcc"], ["campaign"]):
-            assert build_parser().parse_args(argv).engine == "reference"
+    """Every command runs the fast engine; no flag selects another."""
 
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "gcc", "--engine", "turbo"])
+    def test_run_fast_engine_matches_reference_output(self, capsys, monkeypatch):
+        import repro.cli as cli
 
-    def test_run_fast_engine_matches_reference_output(self, capsys):
         assert main(["run", "bwaves", "--length", "6000", "--sb", "14"]) == 0
-        reference_out = capsys.readouterr().out
-        assert (
-            main(["run", "bwaves", "--length", "6000", "--sb", "14",
-                  "--engine", "fast"]) == 0
+        fast_out = capsys.readouterr().out
+        simulate = cli.simulate
+        monkeypatch.setattr(
+            cli, "simulate",
+            lambda trace, config, **kwargs: simulate(
+                trace, replace(config, engine="reference"), **kwargs
+            ),
         )
-        assert capsys.readouterr().out == reference_out
+        assert main(["run", "bwaves", "--length", "6000", "--sb", "14"]) == 0
+        assert capsys.readouterr().out == fast_out
 
     def test_run_fast_engine_passes_shadow_check(self, capsys):
         assert (
             main(["run", "bwaves", "--length", "6000", "--sb", "14",
-                  "--engine", "fast", "--shadow-check"]) == 0
+                  "--shadow-check"]) == 0
         )
         assert "shadow check" in capsys.readouterr().out
 
     def test_compare_accepts_fast_engine(self, capsys):
-        assert (
-            main(["compare", "bwaves", "--length", "6000", "--engine", "fast"])
-            == 0
-        )
+        assert main(["compare", "bwaves", "--length", "6000"]) == 0
         assert "at-commit" in capsys.readouterr().out
 
     def test_campaign_accepts_fast_engine(self, capsys):
         assert (
             main(["campaign", "--apps", "bwaves", "--policies", "at-commit",
-                  "--sb-sizes", "14", "--length", "6000", "--engine", "fast",
+                  "--sb-sizes", "14", "--length", "6000",
                   "--no-cache", "--quiet", "--workers", "1"]) == 0
         )
         assert "bwaves" in capsys.readouterr().out
 
     def test_campaign_manifest_engine_key(self, tmp_path, capsys):
+        """A manifest cannot pick an engine: the key is rejected as unknown."""
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({
             "apps": ["bwaves"], "policies": ["at-commit"], "sb_sizes": [14],
             "length": 6000, "engine": "fast",
         }))
         assert main(["campaign", "--manifest", str(manifest), "--no-cache",
-                     "--quiet", "--workers", "1"]) == 0
-        assert "bwaves" in capsys.readouterr().out
+                     "--quiet", "--workers", "1"]) == 2
+        assert "unknown manifest key(s) ['engine']" in capsys.readouterr().err

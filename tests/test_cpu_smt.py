@@ -54,6 +54,20 @@ class TestExecution:
         assert a.cycles == b.cycles
 
 
+class TestCycleAccounting:
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_every_thread_samples_every_cycle(self, threads):
+        """Each thread's SB occupancy is sampled once per core cycle.
+
+        A co-run that jumped over quiescent spans charging only ``cycles``
+        would leave the samples, and the stall buckets with them, short.
+        """
+        result = simulate_smt(traces("bwaves", threads), SystemConfig())
+        for pipeline in result.pipelines:
+            assert pipeline.stats.cycles == result.cycles
+            assert pipeline.sb.stats.occupancy_samples == pipeline.stats.cycles
+
+
 class TestPaperConnection:
     def test_spb_helps_more_under_smt4(self):
         """The paper's SMT argument, run as an actual co-run: SPB's relative

@@ -1,12 +1,13 @@
-"""Multicore differential matrix: lockstep loop and event heap vs the oracle.
+"""Multicore differential matrix: the event heap vs the lockstep loop.
 
 Every cell of :func:`repro.sim.diffcheck.multicore_matrix` runs one PARSEC
-workload through both engines and through the step-every-cycle oracle.  Both
-engines must equal the oracle across the complete per-core statistics tree
-and the shared-uncore tree, and each other on every core's event stream in
-canonical form.  The matrix includes SPB cells on dedup, whose shared heap
-drives cross-core invalidations through the directory — a dedicated test
-pins that coverage so the matrix cannot silently stop exercising coherence.
+workload through both engines.  The lockstep loop steps every pending core
+every cycle, so it is the specification; the event heap must equal it
+across the complete per-core statistics tree and the shared-uncore tree,
+and on every core's event stream in canonical form.  The matrix includes
+SPB cells on dedup, whose shared heap drives cross-core invalidations
+through the directory — a dedicated test pins that coverage so the matrix
+cannot silently stop exercising coherence.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.config.system import SystemConfig
-from repro.cpu.pipeline import Pipeline
+from repro.memory.mshr import MSHRFile
 from repro.multicore.system import MulticoreSystem
 from repro.sim.diffcheck import (
     MulticoreDiffCase,
@@ -37,29 +38,31 @@ def test_engines_bit_identical(case):
     assert report.identical, report.message()
 
 
-def test_oracle_catches_cycles_only_jumps(monkeypatch):
-    """A lockstep jump that charges only ``cycles`` must fail the oracle.
+def test_harness_catches_a_span_settled_one_cycle_short(monkeypatch):
+    """A per-core span that stops charging one cycle early must diverge.
 
-    Such a jump drops the stall buckets, SB occupancy samples and
-    L1D-pending cycles of every blocked core.  The event heap does not use
-    ``_skip_to`` and must stay equal to the oracle.
+    With ``busy_until`` reporting the last in-flight L1 miss one cycle
+    early, every quiescent span a core settles inside the event heap
+    charges one L1D-pending cycle too few; the lockstep loop steps every
+    cycle and never asks ``busy_until``.
     """
-    def cycles_only(self, target):
-        self.stats.cycles += target - self.cycle
-        self.cycle = target
-
-    monkeypatch.setattr(Pipeline, "_skip_to", cycles_only)
+    exact = MSHRFile.busy_until
+    monkeypatch.setattr(
+        MSHRFile, "busy_until", lambda self: max(exact(self) - 1, 0)
+    )
     case = MulticoreDiffCase(
-        workload="canneal",
+        workload="dedup",
         config=SystemConfig.skylake(
-            sb_entries=14, store_prefetch="at-commit", num_cores=2
+            sb_entries=14, store_prefetch="none", num_cores=4
         ),
-        threads=2,
-        length=1_500,
+        threads=4,
+        length=10_000,
     )
     problems = run_multicore_case(case).problems
-    assert any(p.startswith("oracle vs reference:") for p in problems)
-    assert not any(p.startswith("oracle vs fast:") for p in problems)
+    assert any(
+        p.startswith("multicore['cores'][0]['pipeline'].exec_stall_l1d_pending:")
+        for p in problems
+    ), problems
 
 
 class TestCanonicalCoreEvents:
@@ -106,7 +109,7 @@ def test_matrix_includes_spb_cross_core_invalidation():
         case.workload, threads=case.threads, length=case.length, seed=case.seed
     )
     system = MulticoreSystem(
-        case.config.with_engine("fast"), traces, seed=case.sim_seed
+        replace(case.config, engine="fast"), traces, seed=case.sim_seed
     )
     system.run()
     assert system.uncore.directory.stats.invalidations_sent > 0

@@ -9,7 +9,7 @@ exactly the class of bug aggregate cycle counters cannot see.
 
 from __future__ import annotations
 
-import os
+import pytest
 
 from repro.trace.litmus import LitmusMachine, fence, ld, run_litmus, st
 
@@ -143,13 +143,12 @@ class TestEngineIndependence:
 
     The litmus machine above drives the SB and MESI hierarchy directly, so
     it cannot see the pipeline engine at all; this class closes that gap by
-    checking the *pipeline-driven* SB event stream.  ``REPRO_ENGINE``
-    selects which engine simulates (CI runs the litmus step once per
-    engine); the cross-engine test additionally pins both streams against
-    each other in a single run.
+    checking the *pipeline-driven* SB event stream.  The FIFO tests run
+    on each engine; the cross-engine tests additionally pin both streams
+    against each other in a single run.
     """
 
-    ENGINE = os.environ.get("REPRO_ENGINE", "reference")
+    ENGINES = ("reference", "fast")
 
     @staticmethod
     def _sb_events(engine: str):
@@ -166,14 +165,15 @@ class TestEngineIndependence:
         )
         return sink.events
 
-    def test_sb_drains_fifo_under_selected_engine(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_sb_drains_fifo_under_selected_engine(self, engine):
         """Drains leave the SB in insertion order — the TSO FIFO invariant."""
-        events = self._sb_events(self.ENGINE)
+        events = self._sb_events(engine)
         inserted = [e.block for e in events if e.kind == "sb.insert"]
         drained = [e.block for e in events if e.kind == "sb.drain"]
         assert drained, "store-heavy workload must drain stores"
         assert drained == inserted[: len(drained)], (
-            f"engine {self.ENGINE!r} drained stores out of FIFO order"
+            f"engine {engine!r} drained stores out of FIFO order"
         )
 
     def test_sb_event_stream_identical_across_engines(self):
@@ -195,14 +195,15 @@ class TestEngineIndependence:
         simulate_multicore(traces, config, tracer=Tracer([sink], kinds="sb.*"))
         return sink.events
 
-    def test_multicore_sb_drains_fifo_per_core_under_selected_engine(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_multicore_sb_drains_fifo_per_core_under_selected_engine(self, engine):
         """Each core's drains stay in its own insertion order (MP/SB shape).
 
         dedup's threads publish into a shared heap, so this is the
         message-passing pattern at scale: cross-core visibility goes
         through MESI while every core's own stores drain FIFO.
         """
-        events = self._multicore_sb_events(self.ENGINE)
+        events = self._multicore_sb_events(engine)
         cores = {e.core for e in events}
         assert len(cores) == 2, "both cores must buffer stores"
         for core in cores:
@@ -216,7 +217,7 @@ class TestEngineIndependence:
             ]
             assert drained, f"core {core} never drained a store"
             assert drained == inserted[: len(drained)], (
-                f"engine {self.ENGINE!r} drained core {core}'s stores "
+                f"engine {engine!r} drained core {core}'s stores "
                 "out of FIFO order"
             )
 

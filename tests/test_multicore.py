@@ -62,14 +62,6 @@ class TestExecution:
             assert multi.per_core[0] == single.pipeline
             assert system.pipelines[0].sb.stats == single.sb_stats
 
-    def test_engine_override_beats_config(self):
-        traces = parsec("swaptions", threads=2, length=2_000)
-        config = SystemConfig.skylake(num_cores=2, engine="reference")
-        ref = simulate_multicore(traces, config)
-        fast = simulate_multicore(traces, config, engine="fast")
-        assert fast.cycles == ref.cycles
-        assert fast.per_core == ref.per_core
-
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_one_core_finishing_far_earlier_than_peers(self, engine):
         """A core with 1/16th the work retires and unblocks the others."""

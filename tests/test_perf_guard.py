@@ -1,22 +1,23 @@
-"""Performance-regression guard for the two execution engines.
+"""Performance-regression guard for the production engine.
 
 Two assertions, both on the canonical compute-bound workload (exchange2,
 where the pipeline loop — not the memory hierarchy — dominates, so engine
 speedups are cleanest):
 
-* the fast engine is at least 1.5× the reference engine, measured
-  in-process on the same machine in the same run (machine-independent);
-* the reference engine has not regressed more than 20% against the
-  committed ``BENCH_fastpath.json`` snapshot.  Throughput is measured in
-  µops simulated per run of a fixed pure-Python calibration kernel, timed
-  in the same process, in CPU time, by the same function that wrote the
-  snapshot — so a slower or busier host moves both sides alike and the
-  guard measures the code, not the machine.
+* the fast engine is at least 1.5× the step-every-cycle reference engine
+  (the model's specification), measured in-process on the same machine in
+  the same run (machine-independent);
+* the fast engine has not regressed more than 20% against the committed
+  ``BENCH_fastpath.json`` snapshot.  Throughput is measured in µops
+  simulated per run of a fixed pure-Python calibration kernel, timed in the
+  same process, in CPU time, by the same function that wrote the snapshot
+  — so a slower or busier host moves both sides alike and the guard
+  measures the code, not the machine.
 
 A second pair of assertions covers the multicore event heap: fast ≥ 1.5×
-reference in-process on a 4-core dedup cell (``run()`` timed only, on a
-system built untimed), and the committed ``BENCH_multicore.json`` snapshot
-must record a geomean ≥ 1.8×.
+the lockstep reference in-process on a 4-core dedup cell (``run()`` timed
+only, on a system built untimed), and the committed ``BENCH_multicore.json``
+snapshot must record a geomean ≥ 1.8×.
 
 ``REPRO_SKIP_PERF=1`` skips the whole module (laptops, loaded CI boxes).
 Regenerate both snapshots with ``python benchmarks/bench_simulator_throughput.py``.
@@ -95,15 +96,15 @@ def test_fast_engine_at_least_1_5x_reference(timings):
     )
 
 
-def test_reference_engine_not_regressed_vs_snapshot():
+def test_fast_engine_not_regressed_vs_snapshot():
     cell = json.loads(BENCH_PATH.read_text())["cells"]["compute/at-commit"]
-    baseline = cell["reference_uops_per_calibration_run"]
+    baseline = cell["fast_uops_per_calibration_run"]
     measured = _load_throughput_bench().uops_per_calibration_run(
         spec2017("exchange2", length=LENGTH), "at-commit"
     )
     floor = 0.8 * baseline
     assert measured >= floor, (
-        f"reference engine at {measured:.0f} µops per calibration-kernel "
+        f"fast engine at {measured:.0f} µops per calibration-kernel "
         f"run, more than 20% below the committed baseline of {baseline} "
         f"(floor {floor:.0f}); either fix the regression or regenerate "
         "BENCH_fastpath.json via "

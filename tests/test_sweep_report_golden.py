@@ -87,16 +87,16 @@ class TestSweepGolden:
         )
 
     def test_sweep_identical_under_fast_engine(self):
-        """The golden also pins the fast engine: same sweep, same numbers."""
+        """The golden's fast-engine numbers are the stepping reference's."""
         from repro.config.system import SystemConfig
 
-        cache = ResultsCache()
         reference = policy_sweep(
-            cache, spec2017, APPS, sb_entries=14, policies=POLICIES, length=LENGTH
+            ResultsCache(), spec2017, APPS, sb_entries=14, policies=POLICIES,
+            length=LENGTH, base_config=SystemConfig(engine="reference"),
         )
         fast = policy_sweep(
             ResultsCache(), spec2017, APPS, sb_entries=14, policies=POLICIES,
-            length=LENGTH, base_config=SystemConfig(engine="fast"),
+            length=LENGTH,
         )
         for app in APPS:
             for policy in POLICIES:

@@ -1,21 +1,22 @@
-"""Shadow-check integration tests and the disabled-tracer perf guard.
+"""Shadow-check integration tests and the disabled-tracer guard.
 
 The shadow check runs real workloads with a :class:`MetricsRegistry`
 attached and demands that every counter the simulator maintains by hand is
 reproduced exactly by folding the event stream — the strongest whole-system
-consistency statement the tracing layer can make.  The perf guard pins the
-other half of the contract: a run with ``tracer=None`` must cost
-essentially the same as before the tracing layer existed.
+consistency statement the tracing layer can make.  The disabled-tracer
+guard pins the other half of the contract: a run with ``tracer=None``
+never builds an event, so it costs essentially what it did before the
+tracing layer existed.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro import SystemConfig, simulate, spec2017
-from repro.trace import ShadowCheckError, Tracer, shadow_registry_for
+from repro import SystemConfig, parsec, simulate, spec2017
+from repro.multicore.system import MulticoreSystem
+from repro.trace import CollectorSink, ShadowCheckError, Tracer, shadow_registry_for
+from repro.trace.events import TraceEvent
 
 WORKLOADS = ["gcc", "bwaves", "roms", "x264"]
 POLICIES = ["none", "at-commit", "spb", "ideal"]
@@ -75,35 +76,41 @@ class TestShadowCheck:
 
 
 class TestDisabledTracerOverhead:
-    def test_disabled_tracer_is_near_free(self):
-        """tracer=None must not slow simulation down measurably.
+    def test_disabled_tracer_is_near_free(self, monkeypatch):
+        """tracer=None must not construct a single :class:`TraceEvent`.
 
         Every hook site is ``tr = self.tracer; if tr is not None``, so the
-        disabled path does two extra bytecodes per occurrence.  Interleave
-        repeated timings of the same run and compare minima — min-of-N is
-        robust to scheduler noise in a way means are not.  The bound is
-        deliberately loose (15%) because both paths are identical code and
-        any real regression (say, building events unconditionally) costs
-        integer multiples, not percents.
+        disabled path only pays for the check.  Events built unconditionally
+        would cost integer multiples of a run; counting constructions pins
+        that deterministically, on both single-core engines and on the
+        multicore event heap.
         """
-        trace = spec2017("roms", length=6_000)
-        config = SystemConfig.skylake().with_policy("spb").with_sb(14)
-        simulate(trace, config)  # warm both the trace cache and the JIT-less VM
+        built = []
+        init = TraceEvent.__init__
 
-        baseline: list[float] = []
-        disabled: list[float] = []
-        for _ in range(3):
-            started = time.perf_counter()
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("kind"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceEvent, "__init__", counting_init)
+        trace = spec2017("roms", length=6_000)
+        for engine in ("reference", "fast"):
+            config = SystemConfig.skylake(
+                sb_entries=14, store_prefetch="spb", engine=engine
+            )
             simulate(trace, config)
-            baseline.append(time.perf_counter() - started)
-            started = time.perf_counter()
-            simulate(trace, config, tracer=None)
-            disabled.append(time.perf_counter() - started)
-        assert min(disabled) <= min(baseline) * 1.15
+        # dedup's first store lands around µop ~6400.
+        traces = parsec("dedup", threads=2, length=8_000)
+        MulticoreSystem(
+            SystemConfig.skylake(sb_entries=14, store_prefetch="spb", num_cores=2),
+            traces,
+        ).run()
+        assert built == []
+        # The counter does see the events of a traced run.
+        simulate(trace, config, tracer=Tracer([CollectorSink()]))
+        assert built
 
     def test_simulation_results_identical_with_and_without_tracer(self):
-        from repro.trace import CollectorSink
-
         trace = spec2017("gcc", length=4_000)
         config = SystemConfig.skylake().with_policy("spb")
         plain = simulate(trace, config)
