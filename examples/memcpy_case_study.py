@@ -31,8 +31,8 @@ def build_copy(copy_kib: int) -> Trace:
         src_base=0x2000_0000,
         pc_base=0x400,
     )
-    return Trace(builder.ops, name=f"memcpy-{copy_kib}KiB",
-                 regions=builder.regions)
+    return Trace.from_columns(builder.columns, name=f"memcpy-{copy_kib}KiB",
+                              regions=builder.regions)
 
 
 def main() -> None:

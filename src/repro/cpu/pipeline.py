@@ -102,8 +102,8 @@ class Pipeline:
         self._trace_annotated = isinstance(self.predictor, TraceAnnotatedPredictor)
         self._rng = random.Random(seed)
 
-        self._ops = list(trace)
-        self._n = len(self._ops)
+        self._n = len(trace)
+        self._load_trace(trace)
         self._ready = [0] * self._n  # completion cycle per trace index
         self._ip = 0
         self._rob: deque[tuple[int, object]] = deque()  # (index, op)
@@ -126,6 +126,15 @@ class Pipeline:
         self.cycle = start_cycle
         self._fetch_resume = start_cycle
         self.stats = PipelineStats()
+
+    def _load_trace(self, trace: Trace) -> None:
+        """Prepare the cycle body's per-µop inputs at construction.
+
+        The specification reads the trace's µops as
+        :class:`~repro.isa.uop.MicroOp` views; the fast engine overrides
+        this to read the trace's columns and builds none.
+        """
+        self._ops = list(trace)
 
     # ------------------------------------------------------------------
     # Per-cycle phases

@@ -2,19 +2,21 @@
 
 The format is line-oriented so multi-million-µop traces stream without
 building intermediate structures: a header line with the trace name and
-PC-region map, then one compact line per µop.
+PC-region map, then one compact line per µop:
+``[kind, pc, addr, size, dep_distance, mispredicted, taken]``, the trace's
+seven columns.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
-from typing import IO, Iterator
+from typing import IO
 
-from repro.isa.trace import Trace
-from repro.isa.uop import MicroOp, OpKind
+from repro.isa.trace import Trace, TraceColumns
 
-_FORMAT_VERSION = 1
+#: 2: each µop line carries the branch direction (``taken``) as well.
+_FORMAT_VERSION = 2
 
 
 def _open(path: str, mode: str) -> IO:
@@ -32,33 +34,32 @@ def save_trace(trace: Trace, path: str) -> None:
             "regions": {str(pc): region for pc, region in trace.regions.items()},
         }
         handle.write(json.dumps(header) + "\n")
-        for op in trace:
-            record = [int(op.kind), op.pc, op.addr, op.size, op.dep_distance,
-                      int(op.mispredicted)]
+        for kind, pc, addr, size, dep, mispredicted, taken in zip(*trace.columns):
+            record = [int(kind), pc, addr, size, dep, int(mispredicted), int(taken)]
             handle.write(json.dumps(record) + "\n")
-
-
-def _decode_ops(handle) -> Iterator[MicroOp]:
-    for line in handle:
-        kind, pc, addr, size, dep, mispredicted = json.loads(line)
-        yield MicroOp(
-            OpKind(kind),
-            pc=pc,
-            addr=addr,
-            size=size,
-            dep_distance=dep,
-            mispredicted=bool(mispredicted),
-        )
 
 
 def load_trace(path: str) -> Trace:
     """Read a trace written by :func:`save_trace`."""
     with _open(path, "r") as handle:
         header = json.loads(handle.readline())
-        if header.get("version") != _FORMAT_VERSION:
+        version = header.get("version")
+        if version == 1:
             raise ValueError(
-                f"unsupported trace format version: {header.get('version')!r}"
+                f"{path}: trace format version 1 does not record branch "
+                "directions; regenerate the trace with this version of save_trace"
             )
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"unsupported trace format version: {version!r}")
         regions = {int(pc): region for pc, region in header["regions"].items()}
-        ops = list(_decode_ops(handle))
-    return Trace(ops, name=header["name"], regions=regions)
+        columns = TraceColumns.empty()
+        for line in handle:
+            kind, pc, addr, size, dep, mispredicted, taken = json.loads(line)
+            columns.kinds.append(kind)
+            columns.pcs.append(pc)
+            columns.addrs.append(addr)
+            columns.sizes.append(size)
+            columns.deps.append(dep)
+            columns.mispredicted.append(bool(mispredicted))
+            columns.taken.append(bool(taken))
+    return Trace.from_columns(columns, name=header["name"], regions=regions)

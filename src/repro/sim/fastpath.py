@@ -24,12 +24,11 @@ Where the speed comes from
   (:meth:`repro.multicore.system.MulticoreSystem.run`) drives one per core,
   each up to the next core's ``(cycle, core)`` key.
 
-* **Precomputed µop arrays.**  ``MicroOp`` property calls (``is_load``,
-  ``latency``) and the per-access ``addr // block_bytes`` division are
-  folded into flat per-index lists at construction: kind codes, cache-block
-  numbers, execution latencies, dependency distances, PCs and branch
-  annotations.  The hot loop reads plain list slots instead of touching µop
-  objects at all.  This precompute makes construction engine-specific.
+* **Columnar traces, read as they are.**  The trace already stores one
+  list per µop field (:class:`repro.isa.trace.TraceColumns`); the loop
+  indexes the PC, address, size, dependency and branch columns directly
+  and derives only kind codes, latencies and cache-block numbers at
+  construction.  No ``MicroOp`` object is built or touched.
 
 * **Inlined store-buffer fast path.**  The pipeline's SB is always
   constructed unbounded (capacity is enforced at dispatch), so the push /
@@ -56,9 +55,15 @@ from repro.core.store_buffer import StoreBufferEntry
 from repro.cpu.pipeline import Pipeline
 from repro.isa.uop import OP_LATENCIES, OpKind
 
-#: Kind codes used by the precomputed arrays (index = code).
+#: Kind codes used by the derived arrays (index = code).
 _ALU, _LOAD, _STORE, _BRANCH = 0, 1, 2, 3
 _TAGS = ("alu", "load", "store", "branch")
+#: Engine kind code and execution latency per trace kind code (OpKind value).
+_CODES = [
+    {OpKind.LOAD: _LOAD, OpKind.STORE: _STORE, OpKind.BRANCH: _BRANCH}.get(k, _ALU)
+    for k in OpKind
+]
+_LATENCIES = [OP_LATENCIES[k] for k in OpKind]
 
 #: Horizon of a core running alone: it never hands control back.
 _NO_HORIZON = (sys.maxsize, 0)
@@ -72,26 +77,14 @@ class FastPipeline(Pipeline):
     which keeps the two engines interchangeable everywhere.
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        ops = self._ops
+    def _load_trace(self, trace) -> None:
+        """Read the trace's columns as they are and derive only kind codes,
+        latencies and block numbers; no ``MicroOp`` view is built."""
+        kinds = trace.columns.kinds
         block_bytes = self.block_bytes
-        # One comprehension per array keeps the precompute in C-loop
-        # territory; a 10k-µop trace costs ~2 ms to flatten.
-        code = {k: _ALU for k in OpKind}
-        code[OpKind.LOAD] = _LOAD
-        code[OpKind.STORE] = _STORE
-        code[OpKind.BRANCH] = _BRANCH
-        op_kinds = [op.kind for op in ops]
-        self._fp_kinds = [code[k] for k in op_kinds]
-        self._fp_lats = [OP_LATENCIES[k] for k in op_kinds]
-        self._fp_addrs = [op.addr for op in ops]
-        self._fp_blocks = [addr // block_bytes for addr in self._fp_addrs]
-        self._fp_deps = [op.dep_distance for op in ops]
-        self._fp_pcs = [op.pc for op in ops]
-        self._fp_sizes = [op.size for op in ops]
-        self._fp_mispreds = [op.mispredicted for op in ops]
-        self._fp_takens = [op.taken for op in ops]
+        self._fp_kinds = list(map(_CODES.__getitem__, kinds))
+        self._fp_lats = list(map(_LATENCIES.__getitem__, kinds))
+        self._fp_blocks = [addr // block_bytes for addr in trace.columns.addrs]
 
     def run(self, max_cycles: int = 500_000_000):
         """Run to completion: the core loop with no horizon."""
@@ -113,17 +106,12 @@ class FastPipeline(Pipeline):
         :meth:`Pipeline.step` every cycle.
         """
         # ---- immutable context, hoisted to locals -----------------------
-        ops = self._ops
+        trace = self.trace
         n = self._n
         kinds = self._fp_kinds
         blocks = self._fp_blocks
         lats = self._fp_lats
-        deps = self._fp_deps
-        pcs = self._fp_pcs
-        addrs = self._fp_addrs
-        sizes = self._fp_sizes
-        mispreds = self._fp_mispreds
-        takens = self._fp_takens
+        _, pcs, addrs, sizes, deps, mispreds, takens = trace.columns
         ready = self._ready
         # Local ROB of bare indices: the reference deque of (index, op)
         # tuples is rebuilt from it on exit, so outside observers see the
@@ -543,7 +531,7 @@ class FastPipeline(Pipeline):
         finally:
             # ---- flush locals back to the shared state ------------------
             rob_shared.clear()
-            rob_shared.extend((index, ops[index]) for index in rob)
+            rob_shared.extend((index, trace[index]) for index in rob)
             self.cycle = cycle
             self._ip = ip
             self._loads_in_rob = loads_in_rob

@@ -47,10 +47,7 @@ def split_warmup(trace: Trace, warmup: int) -> tuple[Trace | None, Trace]:
     """
     if warmup <= 0 or warmup >= len(trace):
         return None, trace
-    ops = list(trace)  # materialise once; both halves share the list
-    warm = Trace(ops[:warmup], name=trace.name, regions=trace.regions)
-    rest = Trace(ops[warmup:], name=trace.name, regions=trace.regions)
-    return warm, rest
+    return trace.slice(0, warmup), trace.slice(warmup, len(trace))
 
 
 def _reset_measurement_state(hierarchy: MemoryHierarchy, engine) -> None:

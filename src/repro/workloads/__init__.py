@@ -5,6 +5,12 @@ binaries here, so each named application is generated as a deterministic
 micro-op trace built from kernels (memcpy/memset/clear_page bursts, strided
 and sparse stores, load streams, pointer chases, compute, branches) whose mix
 is calibrated so the baseline SB-stall profile matches Figures 1 and 3.
+
+Generators write the trace's per-µop columns directly
+(:class:`repro.isa.trace.TraceColumns`): kernels append to a
+:class:`KernelBuilder`'s columns, :func:`build_trace` concatenates them and
+:func:`parsec` relocates each thread's private addresses with one pass over
+the kind and address columns.  No :class:`~repro.isa.uop.MicroOp` is built.
 """
 
 from repro.workloads.kernels import (

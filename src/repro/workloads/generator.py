@@ -7,7 +7,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.isa.trace import Trace
+from repro.isa.trace import Trace, TraceColumns
 from repro.workloads import kernels as K
 
 #: Address-space layout: each phase gets its own heap region so phases do not
@@ -71,7 +71,8 @@ def build_trace(spec: WorkloadSpec, length: int, seed: int = 1) -> Trace:
     rng = random.Random(zlib.crc32(spec.name.encode()) ^ seed)
     total_weight = sum(phase.weight for phase in spec.phases)
     shares = [phase.weight / total_weight for phase in spec.phases]
-    ops: list = []
+    columns = TraceColumns.empty()
+    kinds = columns.kinds
     regions: dict[int, str] = {}
     invocations = [0] * len(spec.phases)
     emitted = [0] * len(spec.phases)
@@ -79,8 +80,8 @@ def build_trace(spec: WorkloadSpec, length: int, seed: int = 1) -> Trace:
     # weighted share of the trace so far.  This keeps long-run proportions
     # equal to the weights and fires every phase early, even in short traces.
     # The +1 µop head start makes the very first picks follow weight order.
-    while len(ops) < length:
-        total = len(ops) + 1
+    while len(kinds) < length:
+        total = len(kinds) + 1
         index = max(
             range(len(spec.phases)),
             key=lambda i: shares[i] * total - emitted[i],
@@ -90,8 +91,10 @@ def build_trace(spec: WorkloadSpec, length: int, seed: int = 1) -> Trace:
         pc_base = (index + 1) * _PC_REGION
         builder = phase.build(invocations[index], rng, base, pc_base)
         invocations[index] += 1
-        emitted[index] += len(builder.ops)
-        ops.extend(builder.ops)
+        emitted[index] += len(builder)
+        for column, part in zip(columns, builder.columns):
+            column.extend(part)
         regions.update(builder.regions)
-    del ops[length:]
-    return Trace(ops, name=spec.name, regions=regions)
+    for column in columns:
+        del column[length:]
+    return Trace.from_columns(columns, name=spec.name, regions=regions)

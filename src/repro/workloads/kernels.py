@@ -2,7 +2,9 @@
 
 Each kernel emits micro-ops the way a compiled loop would: a small set of
 static PCs reused across iterations, realistic mixes of address generation,
-data movement and loop-control branches.  Kernels that model library or OS
+data movement and loop-control branches.  A :class:`KernelBuilder` appends
+each µop's fields straight to the trace columns; no :class:`MicroOp` object
+is built.  Kernels that model library or OS
 code (``memcpy``, ``memset``, ``clear_page``, ``calloc``) annotate their PCs
 with the region name so Figure 3's stall-location breakdown can be rebuilt.
 """
@@ -12,19 +14,31 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.isa.trace import Trace, TraceColumns
 from repro.isa.uop import MicroOp, OpKind
 
 _WORD = 8  # the paper's running example: 8-byte scalar stores
+_LOAD = int(OpKind.LOAD)
+_STORE = int(OpKind.STORE)
+_BRANCH = int(OpKind.BRANCH)
 
 
 @dataclass
 class KernelBuilder:
-    """Accumulates micro-ops plus the PC-region annotations they carry."""
+    """Accumulates per-µop trace columns plus the PC-region annotations."""
 
     pc_base: int
     region: str = "app"
-    ops: list[MicroOp] = field(default_factory=list)
+    columns: TraceColumns = field(default_factory=TraceColumns.empty)
     regions: dict[int, str] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.columns.kinds)
+
+    @property
+    def ops(self) -> list[MicroOp]:
+        """The emitted µops as :class:`MicroOp` views (built on each call)."""
+        return list(Trace.from_columns(self.columns))
 
     def pc(self, offset: int) -> int:
         """Assign (and annotate) the PC for a static instruction slot."""
@@ -32,27 +46,34 @@ class KernelBuilder:
         self.regions.setdefault(pc, self.region)
         return pc
 
-    def add(self, op: MicroOp) -> None:
-        """Append a pre-built micro-op."""
-        self.ops.append(op)
+    def _append(self, kind: int, pc: int, addr: int = 0, size: int = 0,
+                dep: int = 0, mispredicted: bool = False,
+                taken: bool = False) -> None:
+        kinds, pcs, addrs, sizes, deps, mispreds, takens = self.columns
+        kinds.append(kind)
+        pcs.append(pc)
+        addrs.append(addr)
+        sizes.append(size)
+        deps.append(dep)
+        mispreds.append(mispredicted)
+        takens.append(taken)
 
     def load(self, offset: int, addr: int, size: int = _WORD, dep: int = 0) -> None:
         """Append a load micro-op."""
-        self.add(MicroOp(OpKind.LOAD, pc=self.pc(offset), addr=addr, size=size, dep_distance=dep))
+        self._append(_LOAD, self.pc(offset), addr, size, dep)
 
     def store(self, offset: int, addr: int, size: int = _WORD, dep: int = 0) -> None:
         """Append a store micro-op."""
-        self.add(MicroOp(OpKind.STORE, pc=self.pc(offset), addr=addr, size=size, dep_distance=dep))
+        self._append(_STORE, self.pc(offset), addr, size, dep)
 
     def alu(self, offset: int, kind: OpKind = OpKind.INT_ALU, dep: int = 0) -> None:
         """Append an arithmetic micro-op."""
-        self.add(MicroOp(kind, pc=self.pc(offset), dep_distance=dep))
+        self._append(int(kind), self.pc(offset), dep=dep)
 
     def branch(self, offset: int, mispredicted: bool = False,
                taken: bool = True) -> None:
         """Append a branch micro-op with direction and annotation."""
-        self.add(MicroOp(OpKind.BRANCH, pc=self.pc(offset),
-                         mispredicted=mispredicted, taken=taken))
+        self._append(_BRANCH, self.pc(offset), mispredicted=mispredicted, taken=taken)
 
 
 def memcpy_kernel(

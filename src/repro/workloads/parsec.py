@@ -12,10 +12,9 @@ coherence effect §VI-F shows does not materialise.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
-from typing import Dict
 
 from repro.isa.trace import Trace
+from repro.isa.uop import OpKind
 from repro.workloads import kernels as K
 from repro.workloads.generator import PhaseSpec, WorkloadSpec, build_trace
 from repro.workloads.phases import (
@@ -28,6 +27,8 @@ from repro.workloads.phases import (
 
 _KIB = 1024
 _SHARED_BASE = 1 << 44  # one region all threads touch
+_LOAD = int(OpKind.LOAD)
+_STORE = int(OpKind.STORE)
 
 
 def _shared_mix(weight: float, count: int = 400, span: int = 1 << 20,
@@ -57,7 +58,7 @@ def _app(name: str, description: str, *phases: PhaseSpec) -> WorkloadSpec:
 #: SB-bound PARSEC applications per the paper's >2% criterion.
 SB_BOUND_PARSEC: tuple[str, ...] = ("bodytrack", "dedup", "ferret", "x264")
 
-PARSEC_APPS: Dict[str, WorkloadSpec] = {
+PARSEC_APPS: dict[str, WorkloadSpec] = {
     "blackscholes": _app(
         "blackscholes", "option pricing: FP compute, tiny sharing",
         _compute(0.65, fp=0.9), _loads(0.25),
@@ -131,15 +132,17 @@ def parsec(name: str, threads: int = 8, length: int = 100_000,
     traces = []
     for thread in range(threads):
         trace = build_trace(spec, length=length, seed=seed * 1000 + thread)
-        # Shift each thread's private regions apart; the shared region is
-        # above 1 << 44 and must stay common to all threads.
-        shifted = [_shift_private(op, thread) for op in trace]
-        traces.append(Trace(shifted, name=f"{name}[t{thread}]", regions=trace.regions))
+        # Relocate each thread's private addresses so threads do not falsely
+        # share; the shared region is above 1 << 44 and stays common.
+        shift = thread * (1 << 36)
+        columns = trace.columns
+        addrs = [
+            addr + shift if (kind == _LOAD or kind == _STORE) and addr < _SHARED_BASE
+            else addr
+            for kind, addr in zip(columns.kinds, columns.addrs)
+        ]
+        traces.append(Trace.from_columns(
+            columns._replace(addrs=addrs), name=f"{name}[t{thread}]",
+            regions=trace.regions,
+        ))
     return traces
-
-
-def _shift_private(op, thread: int):
-    """Relocate private-region addresses so threads do not falsely share."""
-    if op.is_memory and op.addr < _SHARED_BASE:
-        return replace(op, addr=op.addr + thread * (1 << 36))
-    return op

@@ -49,7 +49,7 @@ SB_BOUND_SPEC: tuple[str, ...] = (
     "deepsjeng", "fotonik3d", "roms",
 )
 
-SPEC_APPS: Dict[str, WorkloadSpec] = {
+SPEC_APPS: dict[str, WorkloadSpec] = {
     # ---- SB-bound applications (Figures 1 and 3) ----
     "bwaves": _spec(
         "bwaves", "FP blast solver: heavy memcpy between grid arrays",

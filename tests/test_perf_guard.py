@@ -127,8 +127,10 @@ def multicore_timings():
     """Best-of-N run() seconds per engine on a 4-core dedup cell.
 
     Each timed region covers ``system.run()`` only — a fresh
-    ``MulticoreSystem`` is built untimed before each run, since the fast
-    engine's per-µop precompute makes construction engine-specific.
+    ``MulticoreSystem`` is built untimed before each run, since
+    construction is engine-specific: the fast engine derives kind codes,
+    latencies and block numbers from the trace columns, the specification
+    builds ``MicroOp`` views.
     """
     from repro import parsec
     from repro.multicore.system import MulticoreSystem

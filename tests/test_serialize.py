@@ -14,7 +14,8 @@ class TestRoundTrip:
             MicroOp(OpKind.LOAD, pc=0x10, addr=0x1000, size=8, dep_distance=2),
             MicroOp(OpKind.STORE, pc=0x14, addr=0x1008, size=8),
             MicroOp(OpKind.BRANCH, pc=0x18, mispredicted=True),
-            MicroOp(OpKind.FP_MUL, pc=0x1C),
+            MicroOp(OpKind.BRANCH, pc=0x1C, taken=True),
+            MicroOp(OpKind.FP_MUL, pc=0x20),
         ]
         return Trace(ops, name="roundtrip", regions={0x14: "memcpy"})
 
@@ -23,13 +24,13 @@ class TestRoundTrip:
         save_trace(self._trace(), path)
         loaded = load_trace(path)
         assert loaded.name == "roundtrip"
-        assert len(loaded) == 4
+        assert len(loaded) == 5
 
     def test_gzip_roundtrip(self, tmp_path):
         path = str(tmp_path / "t.jsonl.gz")
         save_trace(self._trace(), path)
         loaded = load_trace(path)
-        assert len(loaded) == 4
+        assert len(loaded) == 5
 
     def test_fields_preserved(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -43,6 +44,8 @@ class TestRoundTrip:
             assert before.size == after.size
             assert before.dep_distance == after.dep_distance
             assert before.mispredicted == after.mispredicted
+            assert before.taken == after.taken
+        assert loaded.columns == original.columns
 
     def test_regions_preserved(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
@@ -61,6 +64,31 @@ class TestRoundTrip:
         a = simulate(trace, SystemConfig())
         b = simulate(loaded, SystemConfig())
         assert a.cycles == b.cycles
+
+    def test_branch_directions_survive_under_tage(self, tmp_path):
+        """A real predictor sees the saved directions, not all not-taken."""
+        from dataclasses import replace
+
+        from repro import SystemConfig, simulate
+
+        trace = spec2017("x264", length=8_000)
+        path = str(tmp_path / "x264.jsonl.gz")
+        save_trace(trace, path)
+        loaded = load_trace(path)
+        assert sum(op.taken for op in loaded) == sum(op.taken for op in trace) > 0
+        config = SystemConfig.skylake()
+        config = replace(config, core=replace(config.core, branch_predictor="tage"))
+        a = simulate(trace, config)
+        b = simulate(loaded, config)
+        assert b.pipeline.mispredicted_branches == a.pipeline.mispredicted_branches
+        assert b.cycles == a.cycles
+
+    def test_version_1_rejected_with_regenerate_hint(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text('{"version": 1, "name": "x", "regions": {}}\n'
+                        '[8, 16, 0, 0, 0, 0]\n')
+        with pytest.raises(ValueError, match="regenerate"):
+            load_trace(str(path))
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
