@@ -69,10 +69,6 @@ class CampaignTelemetry:
         self._started_at = self._clock()
 
     @property
-    def cache_hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-    @property
     def elapsed(self) -> float:
         if self._started_at is None:
             return 0.0

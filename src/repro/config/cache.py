@@ -19,7 +19,6 @@ class CacheConfig:
     latency: int
     block_bytes: int = 64
     mshr_entries: int = 64
-    replacement: str = "lru"  # lru, fifo, random or srrip
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.associativity <= 0:

@@ -24,7 +24,6 @@ class CoreConfig:
     store_buffer_entries: int = 56
     int_registers: int = 180
     fp_registers: int = 180
-    fetch_queue_entries: int = 32
     smt_threads: int = 1
     branch_mispredict_penalty: int = 14
     frequency_ghz: float = 2.0

@@ -373,12 +373,21 @@ class Pipeline:
         dispatched, block_reason, blocked_pc = self._dispatch()
         if dispatched == 0 and self._ip < self._n:
             self._attribute_stall(block_reason, blocked_pc)
+        self._end_cycle(committed)
+        return bool(drained or committed or dispatched)
+
+    def _end_cycle(self, committed: int) -> None:
+        """Close the cycle after ``committed`` µops retired.
+
+        A cycle that committed nothing while an L1D miss is outstanding is
+        an execution stall on the L1D; then the SB occupancy is sampled and
+        the clock advances.
+        """
         if committed == 0 and self.hierarchy.l1_mshr.outstanding(self.cycle):
             self.stats.exec_stall_l1d_pending += 1
         self.sb.sample_occupancy()
         self.stats.cycles += 1
         self.cycle += 1
-        return bool(drained or committed or dispatched)
 
     def run(self, max_cycles: int = 500_000_000) -> PipelineStats:
         """Run to completion, stepping every cycle."""

@@ -107,15 +107,15 @@ class SmtCore:
 
     def _step(self) -> None:
         """One core cycle: shared drain port, per-thread commit, alternating
-        dispatch."""
+        dispatch, then each thread's end-of-cycle phase from the
+        specification (:meth:`Pipeline._end_cycle`)."""
         # One store per cycle may drain across all threads (shared L1 port);
         # rotate priority so no thread starves.
         for offset in range(self.threads):
             pipeline = self.pipelines[(self.cycle + offset) % self.threads]
             if pipeline._drain_sb():
                 break
-        for pipeline in self.pipelines:
-            pipeline._commit()
+        committed = [pipeline._commit() for pipeline in self.pipelines]
         # The front end shares the dispatch width competitively: threads are
         # offered slots round-robin (rotating priority), and a thread that
         # cannot use its slots yields them to the next one — so a stalled
@@ -130,10 +130,8 @@ class SmtCore:
                 pipeline._attribute_stall(reason, blocked_pc)
             if budget <= 0:
                 break
-        for pipeline in self.pipelines:
-            pipeline.sb.sample_occupancy()
-            pipeline.stats.cycles += 1
-            pipeline.cycle += 1
+        for pipeline, count in zip(self.pipelines, committed):
+            pipeline._end_cycle(count)
         self.cycle += 1
 
     def run(self, max_cycles: int = 500_000_000) -> SmtResult:

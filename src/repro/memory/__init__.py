@@ -6,7 +6,6 @@ from repro.memory.dram import DramPort
 from repro.memory.mshr import MSHRFile
 from repro.memory.coherence import MESIState, Directory
 from repro.memory.hierarchy import MemoryHierarchy, SharedUncore, AccessResult
-from repro.memory.replacement import build_replacement_policy
 from repro.memory.tlb import TLB
 
 __all__ = [
@@ -22,6 +21,5 @@ __all__ = [
     "MemoryHierarchy",
     "SharedUncore",
     "AccessResult",
-    "build_replacement_policy",
     "TLB",
 ]

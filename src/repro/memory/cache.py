@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from repro.config.cache import CacheConfig
 from repro.memory.coherence import MESIState
-from repro.memory.replacement import build_replacement_policy
 
-_BY_META = itemgetter(1)
+_BY_CYCLE = itemgetter(1)
 
 
 @dataclass
@@ -41,62 +40,43 @@ class _Line:
     """One resident cache line."""
 
     state: MESIState
-    meta: int  # replacement-policy metadata (e.g. last-use cycle for LRU)
     prefetched: bool = False
 
 
 class SetAssociativeCache:
     """A single cache level indexed by block number.
 
-    Lines carry a MESI state so the same structure serves L1/L2/L3.  The
-    replacement policy is pluggable (LRU by default); victim selection scans
-    the set, which is cheap at associativities of at most 16.
+    Lines carry a MESI state so the same structure serves L1/L2/L3.
+    Replacement is exact LRU: each set keeps its blocks' last-use cycles in
+    an int dict in insertion lockstep with the line dict, and the victim is
+    the block with the smallest stamp.  ``min`` runs with a C-level key
+    function and resolves ties to the first-inserted block (both dicts
+    iterate in the same order by construction).  A block's age is the last
+    stamp written for it, not the order of the calls that wrote it.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self.policy = build_replacement_policy(config.replacement)
-        # LRU (the default everywhere) updates one integer per touch; inline
-        # that instead of paying a method call on every lookup/insert.  Its
-        # last-use cycles live in a per-set int dict kept in insertion
-        # lockstep with the line dict, so the victim scan runs with a
-        # C-level key function (min ties resolve to the first-inserted
-        # block in both dicts — identical iteration order by construction).
-        self._lru = self.policy.name == "lru"
         self._set_mask = config.num_sets - 1
         self._assoc = config.associativity
         self._sets: list[dict[int, _Line]] = [{} for _ in range(config.num_sets)]
-        self._metas: list[dict[int, int]] = (
-            [{} for _ in range(config.num_sets)] if self._lru else []
-        )
+        self._last_use: list[dict[int, int]] = [{} for _ in range(config.num_sets)]
         self.stats = CacheStats()
 
     def _set_for(self, block: int) -> dict[int, _Line]:
         return self._sets[block & self._set_mask]
 
-    def lookup(self, block: int, cycle: int, *, count_tag: bool = True) -> MESIState | None:
+    def lookup(self, block: int, cycle: int) -> MESIState | None:
         """Look a block up, updating recency.  ``None`` means miss."""
-        stats = self.stats
-        if count_tag:
-            stats.tag_accesses += 1
-        index = block & self._set_mask
-        line = self._sets[index].get(block)
-        if line is None:
-            stats.misses += 1
-            return None
-        if self._lru:
-            self._metas[index][block] = cycle
-        else:
-            self.policy.on_access(line, cycle)
-        stats.hits += 1
-        return line.state
+        line = self.lookup_line(block, cycle)
+        return None if line is None else line.state
 
     def lookup_line(self, block: int, cycle: int) -> _Line | None:
         """Like :meth:`lookup` but returns the line object itself.
 
         The hierarchy's hit paths read ``state`` *and* ``prefetched`` off
         the same line; returning it saves re-probing the set dict for each
-        attribute.  Counters and recency update exactly as in ``lookup``.
+        attribute.
         """
         stats = self.stats
         stats.tag_accesses += 1
@@ -105,10 +85,7 @@ class SetAssociativeCache:
         if line is None:
             stats.misses += 1
             return None
-        if self._lru:
-            self._metas[index][block] = cycle
-        else:
-            self.policy.on_access(line, cycle)
+        self._last_use[index][block] = cycle
         stats.hits += 1
         return line
 
@@ -141,37 +118,26 @@ class SetAssociativeCache:
         """
         index = block & self._set_mask
         cache_set = self._sets[index]
-        lru = self._lru
+        last_use = self._last_use[index]
         existing = cache_set.get(block)
         if existing is not None:
             existing.state = state
-            if lru:
-                self._metas[index][block] = cycle
-            else:
-                self.policy.on_access(existing, cycle)
+            last_use[block] = cycle
             if prefetched:
                 existing.prefetched = True
             return None
         stats = self.stats
         victim: tuple[int, MESIState] | None = None
         if len(cache_set) >= self._assoc:
-            if lru:
-                metas = self._metas[index]
-                victim_block = min(metas.items(), key=_BY_META)[0]
-                del metas[victim_block]
-            else:
-                victim_block = self.policy.victim(cache_set, cycle)
+            victim_block = min(last_use.items(), key=_BY_CYCLE)[0]
+            del last_use[victim_block]
             victim_line = cache_set.pop(victim_block)
             victim = (victim_block, victim_line.state)
             stats.evictions += 1
             if victim_line.state == MESIState.M:
                 stats.dirty_evictions += 1
-        line = _Line(state, 0, prefetched)
-        if lru:
-            self._metas[index][block] = cycle
-        else:
-            self.policy.on_insert(line, cycle)
-        cache_set[block] = line
+        last_use[block] = cycle
+        cache_set[block] = _Line(state, prefetched)
         stats.insertions += 1
         if prefetched:
             stats.prefetch_fills += 1
@@ -190,8 +156,7 @@ class SetAssociativeCache:
         line = self._sets[index].pop(block, None)
         if line is None:
             return None
-        if self._lru:
-            del self._metas[index][block]
+        del self._last_use[index][block]
         self.stats.invalidations += 1
         return line.state
 

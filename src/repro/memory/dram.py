@@ -59,7 +59,3 @@ class DramPort:
             self.stats.queued_accesses += 1
             self.stats.queue_cycles += delay
         return delay
-
-    def busy_until(self) -> int:
-        """Cycle at which the last scheduled transfer completes."""
-        return max(self._free_at)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+from weakref import WeakMethod
 
 from repro.config.cache import CacheHierarchyConfig
 from repro.memory.cache import SetAssociativeCache
@@ -29,22 +30,14 @@ class AccessResult:
     per field).
     """
 
-    __slots__ = ("completion", "level", "coalesced")
+    __slots__ = ("completion", "level")
 
-    def __init__(self, completion: int, level: str, coalesced: bool = False) -> None:
+    def __init__(self, completion: int, level: str) -> None:
         self.completion = completion
         self.level = level  # "L1", "L2", "L3" or "MEM" — where found
-        self.coalesced = coalesced
-
-    @property
-    def l1_hit(self) -> bool:
-        return self.level == "L1"
 
     def __repr__(self) -> str:  # diagnostics only
-        return (
-            f"AccessResult(completion={self.completion}, level={self.level!r}, "
-            f"coalesced={self.coalesced})"
-        )
+        return f"AccessResult(completion={self.completion}, level={self.level!r})"
 
 
 @dataclass
@@ -76,8 +69,8 @@ class SharedUncore:
             channels=config.dram_channels,
             burst_cycles=config.dram_burst_cycles,
         )
-        self._invalidate_hooks: dict[int, Callable[[int], None]] = {}
-        self._downgrade_hooks: dict[int, Callable[[int], None]] = {}
+        self._invalidate_hooks: dict[int, WeakMethod] = {}
+        self._downgrade_hooks: dict[int, WeakMethod] = {}
 
     def register_core(
         self,
@@ -85,9 +78,14 @@ class SharedUncore:
         invalidate: Callable[[int], None],
         downgrade: Callable[[int], None],
     ) -> None:
-        """Register callbacks for remote invalidations/downgrades."""
-        self._invalidate_hooks[core_id] = invalidate
-        self._downgrade_hooks[core_id] = downgrade
+        """Register bound-method callbacks for remote invalidations/downgrades.
+
+        The hooks are held weakly: each core's hierarchy owns this uncore,
+        so strong hooks would form a reference cycle that keeps every
+        finished run's caches alive until a full collection.
+        """
+        self._invalidate_hooks[core_id] = WeakMethod(invalidate)
+        self._downgrade_hooks[core_id] = WeakMethod(downgrade)
 
     def fetch(
         self,
@@ -111,13 +109,13 @@ class SharedUncore:
             for victim_core in to_invalidate:
                 hook = self._invalidate_hooks.get(victim_core)
                 if hook is not None:
-                    hook(block)
+                    hook()(block)
         else:
             extra, downgrade_owner = self.directory.handle_gets(core_id, block)
             if downgrade_owner is not None:
                 hook = self._downgrade_hooks.get(downgrade_owner)
                 if hook is not None:
-                    hook(block)
+                    hook()(block)
         if state is not None:
             return self._l3_latency + extra, "L3"
         # Miss in L3: fetch from memory through the L3 MSHRs and a
@@ -134,7 +132,7 @@ class SharedUncore:
             victim_block, _ = victim
             # Inclusive L3: back-invalidate every private copy.
             for hook in self._invalidate_hooks.values():
-                hook(victim_block)
+                hook()(victim_block)
 
     def grant_state(self, core_id: int, block: int, want_write: bool) -> MESIState:
         """Stable state the requesting private cache should install."""
@@ -221,7 +219,7 @@ class MemoryHierarchy:
         if in_flight is not None and (not want_write or block in self._inflight_write):
             if not prefetch:
                 in_flight = l1_mshr.promote(block, cycle) or in_flight
-            return AccessResult(in_flight, "L2", True)
+            return AccessResult(in_flight, "L2")
         if want_write:
             self._inflight_write.add(block)
             if len(self._inflight_write) > 4 * l1_mshr.capacity:
@@ -291,7 +289,7 @@ class MemoryHierarchy:
             if in_flight is not None:
                 # The line was installed at request time but the fill is
                 # still travelling: the load waits for the data.
-                result = AccessResult(in_flight, "L2", True)
+                result = AccessResult(in_flight, "L2")
             else:
                 prefetcher = self.prefetcher
                 if line.prefetched:
@@ -390,7 +388,7 @@ class MemoryHierarchy:
         self, block: int, cycle: int, *, want_write: bool = False
     ) -> Optional[AccessResult]:
         """Cache-prefetcher fill (GetS or GetX depending on ``want_write``)."""
-        state = self.l1d.lookup(block, cycle, count_tag=True)
+        state = self.l1d.lookup(block, cycle)
         if state is not None and (not want_write or state in WRITABLE_STATES):
             return None  # already resident; nothing to do
         result = self._miss_path(block, cycle, want_write=want_write, prefetch=True)

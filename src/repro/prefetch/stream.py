@@ -38,15 +38,13 @@ class StreamPrefetcher(PrefetcherBase):
             raise ValueError("degree must be positive")
         self.degree = degree
         self.table_entries = table_entries
-        self._table: dict[int, _StreamEntry] = {}  # keyed by block >> 6 (region)
+        # Keyed by block >> 6: one stream per 4 KiB region, so independent
+        # streams don't alias.
+        self._table: dict[int, _StreamEntry] = {}
         # Last-touch cycle per region, kept in lockstep with ``_table`` (same
         # insertion order, so min() tie-breaks identically); a flat int dict
         # lets the LRU eviction scan run on a C-level key function.
         self._last: dict[int, int] = {}
-
-    def _region(self, block: int) -> int:
-        # Track streams per 4 KiB region so independent streams don't alias.
-        return block >> 6
 
     def _entry_for(self, block: int, cycle: int) -> _StreamEntry:
         region = block >> 6

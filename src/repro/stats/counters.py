@@ -12,9 +12,12 @@ class StallBreakdown:
 
     The paper's Figure 10 splits issue stalls into SB-induced stalls and
     stalls from every other back-end resource (ROB, issue queue, load queue,
-    registers).  We attribute a blocked-dispatch cycle to whichever resource
-    refused the next µop; when the ROB is full we look at what the ROB head
-    is waiting for and charge the SB when it is a store blocked on SB space.
+    registers).  A cycle that dispatches no µop is charged to the first
+    check that refused the next µop, in the order ROB, issue queue, load
+    queue, SB; ``frontend`` counts cycles spent refilling after a branch
+    mispredict.  A full ROB is charged to ``rob_full`` whatever its head is
+    waiting for, so ``sb_full`` counts only cycles in which the next µop was
+    a store with no free SB entry.
     """
 
     sb_full: int = 0

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro import SystemConfig, spec2017
+from repro import SystemConfig, simulate, spec2017
 from repro.cpu.smt import SmtCore, simulate_smt
+from repro.sim.diffcheck import compare_values
 
 
 def traces(app, n, length=8_000):
@@ -66,6 +67,56 @@ class TestCycleAccounting:
         for pipeline in result.pipelines:
             assert pipeline.stats.cycles == result.cycles
             assert pipeline.sb.stats.occupancy_samples == pipeline.stats.cycles
+
+
+@pytest.mark.parametrize(
+    "app,policy,length",
+    [("mcf", "at-commit", 4_000), ("bwaves", "spb", 8_000)],
+)
+def test_smt1_matches_simulate_exactly(app, policy, length):
+    """A 1-thread co-run is the single-core machine, counter for counter.
+
+    The co-run composes the specification's per-cycle phases, so every
+    statistic ``simulate()`` reports (stall buckets, the L1D-pending
+    execution stall, SB, caches, traffic, MSHRs, store-prefetch engine)
+    must come out identical.
+    """
+    trace = spec2017(app, length=length, seed=1)
+    config = SystemConfig.skylake(sb_entries=14, store_prefetch=policy)
+    single = simulate(trace, config)
+    smt = simulate_smt([trace], config)
+    pipeline = smt.pipelines[0]
+    hierarchy = pipeline.hierarchy
+    engine = pipeline.engine
+    expected = {
+        "cycles": single.cycles,
+        "pipeline": single.pipeline,
+        "sb": single.sb_stats,
+        "l1": single.l1_stats,
+        "l2": single.l2_stats,
+        "l3": single.l3_stats,
+        "traffic": single.traffic,
+        "l1_mshr": single.extras["l1_mshr"],
+        "engine": single.engine_stats,
+        "detector": single.detector_stats,
+        "prefetch_outcomes": single.prefetch_outcomes,
+    }
+    actual = {
+        "cycles": smt.cycles,
+        "pipeline": pipeline.stats,
+        "sb": pipeline.sb.stats,
+        "l1": hierarchy.l1d.stats,
+        "l2": hierarchy.l2.stats,
+        "l3": hierarchy.uncore.l3.stats,
+        "traffic": hierarchy.traffic,
+        "l1_mshr": hierarchy.l1_mshr.stats,
+        "engine": engine.stats,
+        "detector": engine.detector.stats if policy == "spb" else None,
+        "prefetch_outcomes": engine.tracker.finalize(),
+    }
+    problems: list[str] = []
+    compare_values("smt1", expected, actual, problems)
+    assert not problems, "\n".join(problems)
 
 
 class TestPaperConnection:

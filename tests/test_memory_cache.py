@@ -77,6 +77,39 @@ class TestLruEviction:
         assert cache.occupancy() == 4
 
 
+class TestLruOrder:
+    """Pins of the victim order that simulated results depend on.
+
+    Recency is the last cycle stamped on a block, and ties go to the block
+    inserted first; a rewrite that reorders the set on each touch instead
+    would move results.
+    """
+
+    def test_equal_stamps_evict_first_inserted(self):
+        cache = tiny_cache(assoc=2, sets=1)
+        cache.insert(0, MESIState.E, cycle=5)
+        cache.insert(1, MESIState.E, cycle=5)
+        cache.lookup(1, cycle=5)
+        assert cache.insert(2, MESIState.E, cycle=6) == (0, MESIState.E)
+
+    def test_age_is_last_stamp_not_call_order(self):
+        cache = tiny_cache(assoc=2, sets=1)
+        cache.insert(0, MESIState.E, cycle=100)  # a fill that lands later
+        cache.insert(1, MESIState.E, cycle=60)
+        cache.lookup(0, cycle=50)  # the earlier stamp replaces 100
+        assert cache.insert(2, MESIState.E, cycle=110) == (0, MESIState.E)
+
+    def test_invalidate_then_reinsert_moves_block_to_back(self):
+        cache = tiny_cache(assoc=3, sets=1)
+        for block in range(3):
+            cache.insert(block, MESIState.E, cycle=0)
+        cache.invalidate(0)
+        cache.insert(0, MESIState.E, cycle=0)
+        assert cache.insert(3, MESIState.E, cycle=1) == (1, MESIState.E)
+        assert cache.insert(4, MESIState.E, cycle=1) == (2, MESIState.E)
+        assert cache.insert(5, MESIState.E, cycle=1) == (0, MESIState.E)
+
+
 class TestStateManagement:
     def test_set_state(self):
         cache = tiny_cache()

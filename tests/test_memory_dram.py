@@ -40,11 +40,6 @@ class TestScheduling:
         two_delay = sum(two.schedule(0) for _ in range(8))
         assert two_delay < one_delay
 
-    def test_busy_until(self):
-        port = DramPort(channels=1, burst_cycles=10)
-        port.schedule(5)
-        assert port.busy_until() == 15
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             DramPort(channels=0)

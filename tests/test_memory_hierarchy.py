@@ -38,7 +38,6 @@ class TestLoadTiming:
     def test_load_during_fill_waits_for_fill(self, hierarchy):
         first = hierarchy.load(10, cycle=0)
         second = hierarchy.load(10, cycle=5)
-        assert second.coalesced
         assert second.completion == first.completion
 
     def test_l2_hit_after_l1_eviction(self, hierarchy, config):

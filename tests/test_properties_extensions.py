@@ -70,13 +70,10 @@ class TestDramProperties:
 
 
 class TestReplacementProperties:
-    @given(st.lists(blocks, min_size=1, max_size=200),
-           st.sampled_from(["lru", "fifo", "random", "srrip"]))
+    @given(st.lists(blocks, min_size=1, max_size=200))
     @settings(max_examples=50)
-    def test_every_policy_keeps_geometry(self, stream, policy):
-        cache = SetAssociativeCache(
-            CacheConfig("T", 4 * 64 * 2, 2, latency=1, replacement=policy)
-        )
+    def test_lru_keeps_geometry(self, stream):
+        cache = SetAssociativeCache(CacheConfig("T", 4 * 64 * 2, 2, latency=1))
         for cycle, block in enumerate(stream):
             cache.lookup(block, cycle)
             cache.insert(block, MESIState.E, cycle)

@@ -1,5 +1,8 @@
 """Tests for the simulation runner, results cache and sweeps."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import ResultsCache, SystemConfig, simulate, spec2017
@@ -67,6 +70,36 @@ class TestWarmup:
         trace = spec2017("gcc", length=5_000)
         result = simulate(trace, SystemConfig(), warmup=10_000)
         assert result.pipeline.committed_uops == 5_000
+
+
+class TestReleasesMachine:
+    def test_hierarchy_freed_without_the_collector(self, monkeypatch):
+        """A finished run's caches go as soon as ``simulate`` returns.
+
+        The shared uncore must not keep its owning hierarchy alive through
+        the coherence hooks, or every run's L2/L3 dicts wait for a gen-2
+        collection.
+        """
+        from repro.memory.hierarchy import MemoryHierarchy
+        from repro.sim import runner
+
+        built = []
+
+        class Recorded(MemoryHierarchy):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, "MemoryHierarchy", Recorded)
+        trace = spec2017("mcf", length=3_000)
+        gc.disable()
+        try:
+            result = simulate(trace, SystemConfig().with_policy("spb"), warmup=1_000)
+            assert result.pipeline.committed_uops == 2_000
+            assert len(built) == 1
+            assert built[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestResultsCache:
